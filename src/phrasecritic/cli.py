@@ -55,8 +55,13 @@ def _load_dataset(path: str) -> Dataset:
     return Dataset.load(_require_file(path))
 
 
-def _load_model(path: str) -> CriticModel:
-    return load_checkpoint(_require_file(path))
+def _load_model(path: str, objective: str) -> CriticModel:
+    model = load_checkpoint(_require_file(path))
+    if model.objective != objective:
+        raise ConfigurationError(
+            f"{path} holds a {model.objective} critic, but this command "
+            f"needs a {objective} critic")
+    return model
 
 
 def _select_scenes(dataset: Dataset, args):
@@ -119,13 +124,10 @@ def cmd_train(args) -> int:
             dataset, k=args.pairs_per_scene, seed=args.seed,
             sentences_per_scene=args.pair_sentences)
         grouped = negatives.ground_rank_pairs(dataset, pairs)
-        train = grouped.get("train", [])
-        if not train:
-            raise ValueError("no training pairs in the train split")
         model = CriticModel.for_taxonomy(dataset.taxonomy, hyper, args.seed,
                                          objective="rank")
-        report = train_ranker(model, train, grouped.get("val"),
-                              seed=args.seed)
+        report = train_ranker(model, grouped.get("train", []),
+                              grouped.get("val"), seed=args.seed)
         if args.pairs_out:
             write_json(_resolve_out(args.pairs_out),
                        negatives.pairs_to_json(pairs))
@@ -145,7 +147,7 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model)
+    model = _load_model(args.model, "rank")
     lms = generation.fit_class_lms(dataset)
     scenes = _select_scenes(dataset, args)
     records = []
@@ -178,7 +180,7 @@ def cmd_rank(args) -> int:
 
 def cmd_counterfactual(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model)
+    model = _load_model(args.model, "rank")
     lms = generation.fit_class_lms(dataset)
     scenes = _select_scenes(dataset, args)
     records = []
@@ -215,7 +217,7 @@ def cmd_counterfactual(args) -> int:
 
 def cmd_foil(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model)
+    model = _load_model(args.model, "binary")
     report = foil.run_foil_eval(dataset, model, split=args.split,
                                 tau=args.tau)
     out = _resolve_out(args.out)
@@ -229,7 +231,7 @@ def cmd_foil(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model)
+    model = _load_model(args.model, "rank")
     lms = generation.fit_class_lms(dataset)
     if args.limit is not None:
         kept = {s.scene_id

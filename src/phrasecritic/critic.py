@@ -12,18 +12,23 @@ mention minus overlap exposes exactly which claimed attributes the landed
 region fails to support.
 
 All gradients are computed manually (no autograd) and checked against
-central finite differences in the test suite. Sequences are packed into
-length groups so batches run as a handful of matrix products per step.
+central finite differences in the test suite. A batch of sequences of mixed
+lengths is left-padded into one tensor and runs as a handful of matrix
+products per step; padded steps are masked so that they keep the state at
+zero. Both objectives share one forward, one backward and one
+loss-and-gradient function; the rank objective stacks each batch's
+positives over their negatives in a single forward.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CheckpointError, TrainingDivergedError
+from .errors import (CheckpointError, ConfigurationError,
+                     TrainingDivergedError)
 from .jsonio import read_json, write_json
 
 UNK = "<unk>"
@@ -43,6 +48,18 @@ class CriticHyper:
     momentum: float = 0.9
     batch_size: int = 32
     epochs: int = 30
+
+    def __post_init__(self):
+        for name in ("embed_dim", "input_dim", "hidden_dim", "head_dim",
+                     "batch_size", "epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if not self.lr > 0.0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(
+                f"momentum must be in [0, 1), got {self.momentum}")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in (
@@ -125,15 +142,6 @@ class CriticModel:
 
     # -- forward ------------------------------------------------------------
 
-    def encode_step(self, grounded) -> np.ndarray:
-        """Project one grounded phrase to the recurrent input space."""
-        tokens = grounded.phrase.tokens()
-        ids = [self.index.get(tok, 0) for tok in tokens]
-        mean_emb = self.params["emb"][ids].mean(axis=0)
-        u = np.concatenate([mean_emb, grounded.features, grounded.mention,
-                            grounded.match, [grounded.score]])
-        return u @ self.params["w_in"] + self.params["b_in"]
-
     def score(self, grounded_seq) -> float:
         """Relevance score for one sequence of grounded phrases."""
         if not grounded_seq:
@@ -141,9 +149,7 @@ class CriticModel:
         return float(self.score_many([grounded_seq])[0])
 
     def score_many(self, sequences) -> np.ndarray:
-        packed = pack_sequences(sequences, self)
-        scores, _ = _forward_packed(self.params, self.hyper, packed,
-                                    want_cache=False)
+        scores, _ = _forward(self, pack_sequences(sequences, self))
         return scores
 
     def clone(self) -> "CriticModel":
@@ -169,59 +175,69 @@ def binary_loss(s: float, label) -> float:
 
 # -- packing ----------------------------------------------------------------
 
-@dataclass
-class _Group:
-    rows: np.ndarray      # positions in the original sequence list
-    ids: np.ndarray       # (n, T, L) token ids, 0-padded
-    wts: np.ndarray       # (n, T, L) 1/len token weights, 0 on pads
-    feats: np.ndarray     # (n, T, F)
-    svals: np.ndarray     # (n, T)
+_PAD = 0  # step row 0 is all zeros and stands for a padded step
 
 
 @dataclass
 class PackedSequences:
-    groups: list[_Group]
-    n: int
-    locator: np.ndarray = field(repr=False)  # (n, 2): group idx, row in group
+    """Phrase steps stored once, one row each, and a left-padded step index.
+
+    Row ``index[r, s]`` of the step arrays is step ``s`` of sequence ``r``;
+    shorter sequences are left-padded with the pad row, so every sequence
+    ends in the last column.
+    """
+
+    ids: np.ndarray       # (steps + 1, L) token ids, 0-padded
+    wts: np.ndarray       # (steps + 1, L) 1/len token weights, 0 on pads
+    feats: np.ndarray     # (steps + 1, F)
+    svals: np.ndarray     # (steps + 1,)
+    index: np.ndarray     # (n, T) step rows, _PAD before the first step
+
+    def take(self, rows) -> "PackedSequences":
+        """The given sequences, padded only to the longest among them."""
+        index = self.index[rows]
+        width = int((index != _PAD).sum(axis=1).max(initial=0))
+        return replace(self, index=index[:, index.shape[1] - width:])
 
 
 def pack_sequences(sequences, model: CriticModel) -> PackedSequences:
-    """Group sequences by length and lay them out as padded arrays."""
-    by_len: dict[int, list[int]] = {}
-    for i, seq in enumerate(sequences):
-        if not seq:
-            raise ValueError("cannot pack an empty phrase sequence")
-        by_len.setdefault(len(seq), []).append(i)
-
-    groups = []
-    locator = np.zeros((len(sequences), 2), dtype=np.int64)
-    for gid, (t, rows) in enumerate(sorted(by_len.items())):
-        n = len(rows)
-        max_tok = max(len(sequences[r][s].phrase.tokens())
-                      for r in rows for s in range(t))
-        ids = np.zeros((n, t, max_tok), dtype=np.int64)
-        wts = np.zeros((n, t, max_tok))
-        feats = np.zeros((n, t, model.feature_dim))
-        svals = np.zeros((n, t))
-        for j, r in enumerate(rows):
-            locator[r] = (gid, j)
-            for s, g in enumerate(sequences[r]):
-                tokens = g.phrase.tokens()
-                for l, tok in enumerate(tokens):
-                    ids[j, s, l] = model.index.get(tok, 0)
-                    wts[j, s, l] = 1.0 / len(tokens)
-                feats[j, s] = np.concatenate([g.features, g.mention, g.match])
-                svals[j, s] = g.score
-        groups.append(_Group(np.asarray(rows, dtype=np.int64),
-                             ids, wts, feats, svals))
-    return PackedSequences(groups, len(sequences), locator)
+    """Lay sequences out as one step table and a left-padded index."""
+    lengths = [len(seq) for seq in sequences]
+    if 0 in lengths:
+        raise ValueError("cannot pack an empty phrase sequence")
+    steps = [g for seq in sequences for g in seq]
+    max_tok = max((len(g.phrase.tokens()) for g in steps), default=0)
+    ids = np.zeros((len(steps) + 1, max_tok), dtype=np.int64)
+    wts = np.zeros((len(steps) + 1, max_tok))
+    feats = np.zeros((len(steps) + 1, model.feature_dim))
+    svals = np.zeros(len(steps) + 1)
+    for row, g in enumerate(steps, start=1):
+        toks = g.phrase.tokens()
+        for l, tok in enumerate(toks):
+            ids[row, l] = model.index.get(tok, 0)
+            wts[row, l] = 1.0 / len(toks)
+        feats[row] = np.concatenate([g.features, g.mention, g.match])
+        svals[row] = g.score
+    width = max(lengths, default=0)
+    index = np.full((len(sequences), width), _PAD, dtype=np.int64)
+    row = 1
+    for r, t in enumerate(lengths):
+        index[r, width - t:] = np.arange(row, row + t)
+        row += t
+    return PackedSequences(ids, wts, feats, svals, index)
 
 
-def _forward_group(params, hyper, ids, wts, feats, svals, want_cache):
-    n, t, _ = ids.shape
-    hd = hyper.hidden_dim
+def _forward(model: CriticModel, packed: PackedSequences, want_cache=False):
+    """Scores for every packed sequence, plus what _backward needs."""
+    params, hd = model.params, model.hyper.hidden_dim
+    index = packed.index
+    n, t = index.shape
+    real = index != _PAD
+    padded = (~real.all(axis=0)).tolist()  # columns that hold a pad
+    ids, wts = packed.ids[index], packed.wts[index]
     mean_emb = (params["emb"][ids] * wts[..., None]).sum(axis=2)
-    u = np.concatenate([mean_emb, feats, svals[..., None]], axis=2)
+    u = np.concatenate([mean_emb, packed.feats[index],
+                        packed.svals[index][..., None]], axis=2)
     x = u @ params["w_in"] + params["b_in"]
     h = np.zeros((n, hd))
     c = np.zeros((n, hd))
@@ -233,99 +249,98 @@ def _forward_group(params, hyper, ids, wts, feats, svals, want_cache):
         o = _sigmoid(z[:, 2 * hd:3 * hd])
         g = np.tanh(z[:, 3 * hd:])
         c_new = f * c + i * g
+        if padded[step]:
+            # a padded step keeps c = 0, and with it h = o * tanh(0) = 0
+            c_new = np.where(real[:, step, None], c_new, 0.0)
         tc = np.tanh(c_new)
-        h_new = o * tc
         if want_cache:
             steps.append((i, f, o, g, c, h, tc))
-        c, h = c_new, h_new
-    a1 = h @ params["w_1"] + params["b_1"]
-    m = np.tanh(a1)
+        c, h = c_new, o * tc
+    m = np.tanh(h @ params["w_1"] + params["b_1"])
     scores = m @ params["w_2"] + params["b_2"][0]
-    cache = (u, x, steps, h, m) if want_cache else None
+    cache = (ids, wts, real, padded, u, x, steps, h, m) if want_cache \
+        else None
     return scores, cache
 
 
-def _backward_group(params, hyper, grads, group_arrays, cache, d_scores):
-    ids, wts, feats, svals = group_arrays
-    u, x, steps, h_final, m = cache
-    hd = hyper.hidden_dim
-    de = hyper.embed_dim
-    n, t, _ = ids.shape
+def _backward(model: CriticModel, cache, d_scores) -> dict[str, np.ndarray]:
+    """Parameter gradients of sum(d_scores * scores) through _forward."""
+    params, hyper = model.params, model.hyper
+    ids, wts, real, padded, u, x, steps, h_final, m = cache
+    hd, de = hyper.hidden_dim, hyper.embed_dim
+    n, t = real.shape
+    grads = model.zero_grads()
 
     grads["w_2"] += m.T @ d_scores
     grads["b_2"] += d_scores.sum(keepdims=True)
-    dm = d_scores[:, None] * params["w_2"][None, :]
-    da1 = dm * (1.0 - m * m)
+    da1 = d_scores[:, None] * params["w_2"][None, :] * (1.0 - m * m)
     grads["w_1"] += h_final.T @ da1
     grads["b_1"] += da1.sum(axis=0)
 
     dh = da1 @ params["w_1"].T
     dc = np.zeros((n, hd))
-    dx = np.zeros_like(x)
+    dz = np.zeros((n, t, 4 * hd))
     for step in reversed(range(t)):
-        i, f, o, g, c_prev, h_prev, tc = steps[step]
+        i, f, o, g, c_prev, _, tc = steps[step]
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
+        if padded[step]:
+            dc = np.where(real[:, step, None], dc, 0.0)
+        dz[:, step] = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
             do * o * (1.0 - o),
-            dg * (1.0 - g * g),
+            dc * i * (1.0 - g * g),
         ], axis=1)
-        grads["w_x"] += x[:, step].T @ dz
-        grads["w_h"] += h_prev.T @ dz
-        grads["b_g"] += dz.sum(axis=0)
-        dx[:, step] = dz @ params["w_x"].T
-        dh = dz @ params["w_h"].T
+        dc = dc * f
+        dh = dz[:, step] @ params["w_h"].T
 
+    # One product over all (sequence, step) rows for each gate weight.
+    flat_dz = dz.reshape(-1, 4 * hd)
+    h_prev = np.stack([s[5] for s in steps], axis=1).reshape(-1, hd)
+    grads["w_x"] += x.reshape(-1, x.shape[2]).T @ flat_dz
+    grads["w_h"] += h_prev.T @ flat_dz
+    grads["b_g"] += flat_dz.sum(axis=0)
+    dx = dz @ params["w_x"].T
     grads["w_in"] += u.reshape(-1, u.shape[2]).T @ dx.reshape(-1, dx.shape[2])
     grads["b_in"] += dx.sum(axis=(0, 1))
-    du = dx @ params["w_in"].T
-    dmean = du[:, :, :de]
+    dmean = (dx @ params["w_in"].T)[:, :, :de]
     contrib = wts[..., None] * dmean[:, :, None, :]
-    np.add.at(grads["emb"], ids.reshape(-1),
-              contrib.reshape(-1, de))
+    np.add.at(grads["emb"], ids.reshape(-1), contrib.reshape(-1, de))
+    return grads
 
 
-def _forward_packed(params, hyper, packed: PackedSequences, want_cache):
-    scores = np.zeros(packed.n)
-    caches = []
-    for group in packed.groups:
-        s, cache = _forward_group(params, hyper, group.ids, group.wts,
-                                  group.feats, group.svals, want_cache)
-        scores[group.rows] = s
-        if want_cache:
-            caches.append((group, cache))
-    return scores, caches
+def _loss_and_grads(model: CriticModel, packed: PackedSequences, kind: str,
+                    labels=None):
+    """Mean loss and gradients of one packed batch.
+
+    For kind "rank" the first half of the rows are positives and the second
+    half their negatives, in the same order; for "binary" ``labels`` holds
+    one 0/1 target per row.
+    """
+    scores, cache = _forward(model, packed, want_cache=True)
+    _check_finite(scores)
+    if kind == "rank":
+        b = len(scores) // 2
+        gap = scores[b:] - scores[:b] + model.hyper.margin
+        loss = float(np.mean(np.maximum(0.0, gap)))
+        active = (gap > 0.0).astype(float) / b
+        d_scores = np.concatenate([-active, active])
+    else:
+        loss = float(np.mean(np.logaddexp(
+            0.0, np.where(labels > 0.5, -scores, scores))))
+        d_scores = (_sigmoid(scores) - labels) / len(scores)
+    return loss, _backward(model, cache, d_scores)
 
 
-def _backward_packed(params, hyper, grads, caches, d_scores):
-    for group, cache in caches:
-        _backward_group(params, hyper, grads,
-                        (group.ids, group.wts, group.feats, group.svals),
-                        cache, d_scores[group.rows])
+def _pack_pairs(pairs, model: CriticModel) -> PackedSequences:
+    """Positives in rows [0, n), their negatives in rows [n, 2n)."""
+    return pack_sequences([p for p, _ in pairs] + [q for _, q in pairs],
+                          model)
 
 
-def _slice_packed(packed: PackedSequences, rows) -> PackedSequences:
-    """View of a packed dataset restricted to the given sequence rows."""
-    rows = np.asarray(rows, dtype=np.int64)
-    loc = packed.locator[rows]
-    groups = []
-    locator = np.zeros((len(rows), 2), dtype=np.int64)
-    for gid, group in enumerate(packed.groups):
-        member = np.nonzero(loc[:, 0] == gid)[0]
-        if member.size == 0:
-            continue
-        inner = loc[member, 1]
-        groups.append(_Group(member, group.ids[inner], group.wts[inner],
-                             group.feats[inner], group.svals[inner]))
-        locator[member, 0] = len(groups) - 1
-        locator[member, 1] = np.arange(member.size, dtype=np.int64)
-    return PackedSequences(groups, len(rows), locator)
+def _labels(examples) -> np.ndarray:
+    return np.array([1.0 if y else 0.0 for _, y in examples])
 
 
 # -- gradients --------------------------------------------------------------
@@ -336,31 +351,11 @@ def gradients(model: CriticModel, batch, kind: str = "rank"):
     For kind "rank" the batch is (positive sequence, negative sequence)
     pairs; for "binary" it is (sequence, boolean label) examples.
     """
-    params, hyper = model.params, model.hyper
-    grads = model.zero_grads()
     if kind == "rank":
-        pos = pack_sequences([p for p, _ in batch], model)
-        neg = pack_sequences([n for _, n in batch], model)
-        s_p, cache_p = _forward_packed(params, hyper, pos, True)
-        s_n, cache_n = _forward_packed(params, hyper, neg, True)
-        _check_finite(np.concatenate([s_p, s_n]))
-        b = len(batch)
-        active = (s_n - s_p + hyper.margin) > 0.0
-        loss = float(np.mean(np.maximum(0.0, s_n - s_p + hyper.margin)))
-        d_p = -active.astype(float) / b
-        d_n = active.astype(float) / b
-        _backward_packed(params, hyper, grads, cache_p, d_p)
-        _backward_packed(params, hyper, grads, cache_n, d_n)
-        return loss, grads
+        return _loss_and_grads(model, _pack_pairs(batch, model), kind)
     if kind == "binary":
         packed = pack_sequences([s for s, _ in batch], model)
-        labels = np.array([1.0 if y else 0.0 for _, y in batch])
-        s, cache = _forward_packed(params, hyper, packed, True)
-        _check_finite(s)
-        loss = float(np.mean(np.logaddexp(0.0, np.where(labels > 0.5, -s, s))))
-        d = (_sigmoid(s) - labels) / len(batch)
-        _backward_packed(params, hyper, grads, cache, d)
-        return loss, grads
+        return _loss_and_grads(model, packed, kind, _labels(batch))
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -395,6 +390,9 @@ class TrainReport:
 
 def _run_training(model: CriticModel, forward_loss, n_examples: int,
                   val_metric, seed: int) -> TrainReport:
+    if n_examples == 0:
+        raise ConfigurationError(
+            f"no training examples for the {model.objective} objective")
     hyper = model.hyper
     rng = np.random.default_rng([seed, 1])
     velocity = model.zero_grads()
@@ -428,36 +426,24 @@ def train_ranker(model: CriticModel, train_pairs, val_pairs=None,
                  seed: int = 0) -> TrainReport:
     """Fit the critic on (positive, negative) grounded-sequence pairs."""
     model.objective = "rank"
-    params, hyper = model.params, model.hyper
-    pos = pack_sequences([p for p, _ in train_pairs], model)
-    neg = pack_sequences([n for _, n in train_pairs], model)
+    n = len(train_pairs)
+    packed = _pack_pairs(train_pairs, model)
     val = None
     if val_pairs:
         val = (pack_sequences([p for p, _ in val_pairs], model),
-               pack_sequences([n for _, n in val_pairs], model))
+               pack_sequences([q for _, q in val_pairs], model))
 
     def forward_loss(rows):
-        grads = model.zero_grads()
-        pos_slice = _slice_packed(pos, rows)
-        neg_slice = _slice_packed(neg, rows)
-        s_p, cache_p = _forward_packed(params, hyper, pos_slice, True)
-        s_n, cache_n = _forward_packed(params, hyper, neg_slice, True)
-        _check_finite(np.concatenate([s_p, s_n]))
-        active = (s_n - s_p + hyper.margin) > 0.0
-        loss = float(np.mean(np.maximum(0.0, s_n - s_p + hyper.margin)))
-        scale = 1.0 / len(rows)
-        _backward_packed(params, hyper, grads, cache_p,
-                         -active.astype(float) * scale)
-        _backward_packed(params, hyper, grads, cache_n,
-                         active.astype(float) * scale)
-        return loss, grads
+        both = packed.take(np.concatenate([rows, rows + n]))
+        return _loss_and_grads(model, both, "rank")
 
     def val_metric():
-        s_p, _ = _forward_packed(params, hyper, val[0], False)
-        s_n, _ = _forward_packed(params, hyper, val[1], False)
+        # one forward per side: a stacked one would hold both in memory
+        s_p, _ = _forward(model, val[0])
+        s_n, _ = _forward(model, val[1])
         return float(np.mean(s_p > s_n))
 
-    return _run_training(model, forward_loss, len(train_pairs),
+    return _run_training(model, forward_loss, n,
                          val_metric if val else None, seed)
 
 
@@ -465,27 +451,19 @@ def train_classifier(model: CriticModel, train_examples, val_examples=None,
                      seed: int = 0) -> TrainReport:
     """Fit the critic with the binary objective on labeled sequences."""
     model.objective = "binary"
-    params, hyper = model.params, model.hyper
     packed = pack_sequences([s for s, _ in train_examples], model)
-    labels = np.array([1.0 if y else 0.0 for _, y in train_examples])
+    labels = _labels(train_examples)
     val = None
     if val_examples:
         val = (pack_sequences([s for s, _ in val_examples], model),
-               np.array([1.0 if y else 0.0 for _, y in val_examples]))
+               _labels(val_examples))
 
     def forward_loss(rows):
-        grads = model.zero_grads()
-        batch = _slice_packed(packed, rows)
-        y = labels[rows]
-        s, cache = _forward_packed(params, hyper, batch, True)
-        _check_finite(s)
-        loss = float(np.mean(np.logaddexp(0.0, np.where(y > 0.5, -s, s))))
-        _backward_packed(params, hyper, grads, cache,
-                         (_sigmoid(s) - y) / len(rows))
-        return loss, grads
+        return _loss_and_grads(model, packed.take(rows), "binary",
+                               labels[rows])
 
     def val_metric():
-        s, _ = _forward_packed(params, hyper, val[0], False)
+        s, _ = _forward(model, val[0])
         return float(np.mean((s > 0.0) == (val[1] > 0.5)))
 
     return _run_training(model, forward_loss, len(train_examples),

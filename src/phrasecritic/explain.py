@@ -17,7 +17,7 @@ from . import generation, grounding, textproc
 from .critic import CriticModel
 from .grounding import GroundedPhrase
 from .textproc import AttributePhrase
-from .worldsim import Dataset, Scene
+from .worldsim import Dataset, Scene, assignment_distance
 
 DEFAULT_FLUENCY_THRESHOLD = -5.0
 
@@ -118,8 +118,7 @@ def counterfactual_class(scene: Scene, profiles) -> int:
     for profile in profiles:
         if profile.class_id == scene.class_id:
             continue
-        d = sum(1 for key, tok in profile.assignment().items()
-                if assignment.get(key) != tok)
+        d = assignment_distance(assignment, profile.assignment())
         if best_distance is None or d < best_distance:
             best_distance = d
             best_id = profile.class_id
@@ -133,8 +132,7 @@ def _nearest_scene(query: Scene, scenes) -> Scene:
     best = None
     best_distance = None
     for scene in scenes:
-        d = sum(1 for key, tok in scene.assignment().items()
-                if assignment.get(key) != tok)
+        d = assignment_distance(assignment, scene.assignment())
         if best_distance is None or d < best_distance:
             best_distance = d
             best = scene

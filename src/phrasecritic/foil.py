@@ -17,6 +17,7 @@ import numpy as np
 from . import grounding, textproc
 from .critic import (CriticHyper, CriticModel, TrainReport, _sigmoid,
                      train_classifier)
+from .errors import ConfigurationError
 from .worldsim import ATTRIBUTE_CATEGORIES, Dataset, Scene, Taxonomy
 
 
@@ -258,6 +259,8 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
     scenes = {s.scene_id: s for s in dataset.scenes}
     taxonomy, config = dataset.taxonomy, dataset.grounder
     examples = build_foil_examples(dataset, split)
+    if not examples:
+        raise ConfigurationError(f"no foil sentences in the {split} split")
     if tau is None:
         tau = tune_tau(build_foil_examples(dataset, "train"), scenes,
                        taxonomy, config)

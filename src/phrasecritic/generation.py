@@ -106,8 +106,7 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate {error_rate} outside [0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     candidates = []
     for _ in range(n):
         frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)

@@ -51,8 +51,7 @@ def flip_phrase(phrase: AttributePhrase, taxonomy: Taxonomy,
 
     The flip is uniform over all valid (position, replacement) edits.
     """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     flips = _phrase_flips(phrase, taxonomy)
     if not flips:
         raise ValueError("phrase has no same-category alternatives")
@@ -113,8 +112,7 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     phrases = textproc.chunk_sentence(list(tokens), taxonomy)
     if not phrases:
         raise ValueError("sentence has no attribute phrases to flip")

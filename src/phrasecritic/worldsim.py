@@ -141,12 +141,6 @@ class Taxonomy:
     def vector_dim(self) -> int:
         return len(self.vector_index)
 
-    def attribute_tokens(self) -> tuple[str, ...]:
-        out = []
-        for cat in ATTRIBUTE_CATEGORIES:
-            out.extend(self.categories.get(cat, ()))
-        return tuple(out)
-
     def category_of(self, token: str) -> str | None:
         entry = self.lexicon.get(token)
         return entry[1] if entry else None
@@ -298,6 +292,10 @@ class Sentence:
         return cls(int(obj["scene_id"]), list(obj["tokens"]), info)
 
 
+_DATASET_FIELDS = {"seed": int, "taxonomy": dict, "profiles": list,
+                   "grounder": dict, "scenes": list, "sentences": list}
+
+
 @dataclass
 class Dataset:
     taxonomy: Taxonomy
@@ -331,9 +329,18 @@ class Dataset:
 
     @classmethod
     def from_json(cls, obj) -> "Dataset":
+        if not isinstance(obj, dict):
+            raise ConfigurationError("a dataset must be a JSON object")
         if obj.get("format") != cls.FORMAT:
             raise ConfigurationError(
                 f"unsupported dataset format {obj.get('format')!r}")
+        for key, kind in _DATASET_FIELDS.items():
+            if key not in obj:
+                raise ConfigurationError(f"dataset has no {key!r} field")
+            if not isinstance(obj[key], kind):
+                raise ConfigurationError(
+                    f"dataset field {key!r} must be a {kind.__name__}, "
+                    f"got {type(obj[key]).__name__}")
         return cls(
             taxonomy=Taxonomy.from_json(obj["taxonomy"]),
             profiles=[ClassProfile.from_json(p) for p in obj["profiles"]],
@@ -351,10 +358,6 @@ class Dataset:
         return cls.from_json(read_json(path))
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def build_taxonomy(config: WorldConfig, seed: int) -> Taxonomy:
     """Instantiate category token lists and per-part grounder scales."""
     categories = {}
@@ -366,7 +369,7 @@ def build_taxonomy(config: WorldConfig, seed: int) -> Taxonomy:
             raise ConfigurationError(
                 f"at most {len(pool)} {cat} tokens supported, got {count}")
         categories[cat] = pool[:count]
-    rng = _rng([seed, 0])
+    rng = np.random.default_rng([seed, 0])
     lo, hi = config.kappa_range
     if not (0.0 < lo <= hi):
         raise ConfigurationError(f"bad kappa range {config.kappa_range}")
@@ -379,7 +382,7 @@ def sample_class_profiles(taxonomy: Taxonomy, num_classes: int, seed: int,
                           noise_rate: float = 0.15, min_distance: int = 2,
                           max_retries: int = 1000) -> list[ClassProfile]:
     """Draw class profiles with pairwise assignment distance >= min_distance."""
-    rng = _rng([seed, 1])
+    rng = np.random.default_rng([seed, 1])
     profiles: list[ClassProfile] = []
     for class_id in range(num_classes):
         for _ in range(max_retries):
@@ -422,7 +425,7 @@ def render_scene(profile: ClassProfile, taxonomy: Taxonomy, noise: float,
     Keypoints land in the central half of their box, so they always lie
     strictly inside it.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     regions = []
     keypoints = {}
     for part in taxonomy.parts:
@@ -505,7 +508,7 @@ def _pick_category(rng) -> str:
 
 def ground_truth_sentence(scene: Scene, taxonomy: Taxonomy, seed) -> Sentence:
     """Sample a true sentence: every mentioned attribute holds in the scene."""
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = np.random.default_rng(seed)
     frame_id, uses_bird, n_parts = _pick_frame(rng)
     bird_color = None
     if uses_bird:
@@ -526,7 +529,7 @@ def make_foil_sentence(sentence: Sentence, taxonomy: Taxonomy, seed) -> Sentence
     noun to another part may accidentally stay true. Nouns are only foiled
     when the sentence has no attribute tokens at all.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    rng = np.random.default_rng(seed)
     attr_positions = []
     noun_positions = []
     for i, token in enumerate(sentence.tokens):
@@ -603,7 +606,7 @@ def generate_dataset(config: WorldConfig, seed: int) -> Dataset:
             gt_sentences = []
             seen = set()
             for k in range(config.sentences_per_scene):
-                rng = _rng([seed, 3, scene_id, k])
+                rng = np.random.default_rng([seed, 3, scene_id, k])
                 for _ in range(50):
                     candidate = ground_truth_sentence(scene, taxonomy, rng)
                     key = tuple(candidate.tokens)

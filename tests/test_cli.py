@@ -224,3 +224,85 @@ def test_unknown_scene_exits_5(workspace, tmp_path, capsys):
     record = stderr_record(err)
     assert record["code"] == EXIT_BAD_CONFIG
     assert "999999" in record["message"]
+
+
+@pytest.fixture(scope="module")
+def foilless_ds(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("nofoil") / "ds.json")
+    assert main(["synth", "--out", path, "--foils-per-scene", "0"]
+                + SYNTH_FLAGS) == 0
+    return path
+
+
+def test_binary_training_without_foils_exits_5(foilless_ds, tmp_path,
+                                               capsys):
+    code, _, err = run(capsys, "train", "--dataset", foilless_ds,
+                       "--out", str(tmp_path / "m.json"),
+                       "--objective", "binary", "--epochs", "1")
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert "no training examples" in record["message"]
+
+
+def test_foil_eval_without_foils_exits_5(workspace, foilless_ds, tmp_path,
+                                         capsys):
+    code, _, err = run(capsys, "foil", "--dataset", foilless_ds,
+                       "--model", workspace["binary"],
+                       "--out", str(tmp_path / "foil.json"))
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert "no foil sentences" in record["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"), ("--epochs", "0"), ("--hidden-dim", "0"),
+    ("--lr", "-1"), ("--lr", "0"),
+])
+def test_bad_hyper_exits_5(workspace, tmp_path, capsys, flag, value):
+    code, _, err = run(capsys, "train", "--dataset", workspace["ds"],
+                       "--out", str(tmp_path / "m.json"), flag, value)
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert flag[2:].replace("-", "_") in record["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command, model", [
+    ("foil", "rank"), ("rank", "binary"), ("counterfactual", "binary"),
+    ("eval", "binary"),
+])
+def test_checkpoint_objective_mismatch_exits_5(workspace, tmp_path, capsys,
+                                               command, model):
+    code, _, err = run(capsys, command, "--dataset", workspace["ds"],
+                       "--model", workspace[model],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert "rank" in record["message"] and "binary" in record["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("scenes", None, "no 'scenes' field"),
+    ("taxonomy", [], "'taxonomy' must be a dict, got list"),
+])
+def test_malformed_dataset_exits_5(workspace, tmp_path, capsys, key, value,
+                                   expected):
+    payload = read_json(workspace["ds"])
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", str(bad),
+                       "--model", workspace["rank"],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert expected in record["message"]

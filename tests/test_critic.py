@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from phrasecritic import grounding, textproc
-from phrasecritic.critic import (CriticHyper, CriticModel, UNK, binary_loss,
-                                 gradients, load_checkpoint, pack_sequences,
-                                 pairwise_accuracy, rank_loss, save_checkpoint,
-                                 train_classifier, train_ranker)
+from phrasecritic.critic import (CriticHyper, CriticModel, UNK, _forward,
+                                 binary_loss, gradients, load_checkpoint,
+                                 pack_sequences, pairwise_accuracy, rank_loss,
+                                 save_checkpoint, train_classifier,
+                                 train_ranker)
 from phrasecritic.errors import CheckpointError, TrainingDivergedError
 from phrasecritic.jsonio import read_json, write_json
 from phrasecritic.negatives import build_rank_pairs, ground_rank_pairs
@@ -76,11 +77,24 @@ def test_forward_matches_scalar_oracle(small_model, grounded_pairs):
 
 
 def test_packing_is_transparent(small_model, grounded_pairs):
-    """Scores are independent of how sequences are grouped for batching."""
+    """Scores are independent of how sequences are padded for batching."""
     seqs = some_sequences(grounded_pairs, 16)
+    assert len({len(s) for s in seqs}) > 1
     batched = small_model.score_many(seqs)
     single = np.array([small_model.score_many([s])[0] for s in seqs])
     np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [[13, 0, 2], [7, 0, 12, 6]])
+def test_take_matches_packing_the_subset(small_model, grounded_pairs, rows):
+    """Taking rows of a packed set scores them as packing them alone does,
+    also when the taken rows are all shorter than the longest packed one."""
+    seqs = some_sequences(grounded_pairs, 16)
+    taken, _ = _forward(small_model,
+                        pack_sequences(seqs, small_model).take(rows))
+    alone, _ = _forward(small_model,
+                        pack_sequences([seqs[r] for r in rows], small_model))
+    np.testing.assert_array_equal(taken, alone)
 
 
 def test_pack_rejects_empty_sequence(small_model):
@@ -157,7 +171,12 @@ def test_gradients_match_finite_differences(tiny_dataset, grounded_pairs,
                                             kind):
     hyper = CriticHyper(embed_dim=3, input_dim=4, hidden_dim=3, head_dim=3)
     model = CriticModel.for_taxonomy(tiny_dataset.taxonomy, hyper, seed=5)
-    pairs = grounded_pairs["train"][:3]
+    # one pair per phrase count, so that the batch is padded and masked
+    by_length = {}
+    for pair in grounded_pairs["train"]:
+        by_length.setdefault(len(pair[0]), pair)
+    pairs = list(by_length.values())
+    assert len(pairs) > 1
     if kind == "rank":
         batch = pairs
     else:
@@ -317,6 +336,11 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_dataset):
     bad = dict(payload, format=99)
     write_json(path, bad)
     with pytest.raises(CheckpointError, match="format"):
+        load_checkpoint(path)
+
+    bad = dict(payload, hyper=dict(payload["hyper"], batch_size=0))
+    write_json(path, bad)
+    with pytest.raises(CheckpointError, match="batch_size"):
         load_checkpoint(path)
 
     bad = dict(payload)
