@@ -90,11 +90,21 @@ def build_foil_examples(dataset: Dataset, split: str) -> list[FoilExample]:
     return examples
 
 
-def _grounded(tokens, scene, taxonomy, config):
+def _grounded(tokens, scene, taxonomy, config, features=None):
     phrases = textproc.chunk_sentence(list(tokens), taxonomy)
     if not phrases:
         return None
-    return grounding.ground_all(phrases, scene, taxonomy, config)
+    return grounding.ground_all(phrases, scene, taxonomy, config, features)
+
+
+def _features_by_scene(examples, scenes, taxonomy, config) -> dict:
+    """One feature matrix per scene the examples mention."""
+    features = {}
+    for ex in examples:
+        if ex.scene_id not in features:
+            features[ex.scene_id] = grounding.scene_features(
+                scenes[ex.scene_id], taxonomy, config)
+    return features
 
 
 def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
@@ -103,10 +113,13 @@ def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
     scenes = {s.scene_id: s for s in dataset.scenes}
 
     def prepare(split):
+        examples = build_foil_examples(dataset, split)
+        features = _features_by_scene(examples, scenes, dataset.taxonomy,
+                                      dataset.grounder)
         prepared = []
-        for ex in build_foil_examples(dataset, split):
+        for ex in examples:
             seq = _grounded(ex.tokens, scenes[ex.scene_id], dataset.taxonomy,
-                            dataset.grounder)
+                            dataset.grounder, features[ex.scene_id])
             if seq:
                 prepared.append((seq, ex.label))
         return prepared
@@ -126,13 +139,14 @@ class ClassifyResult:
 
 
 def classify(tokens, scene: Scene, model: CriticModel, taxonomy: Taxonomy,
-             config) -> ClassifyResult:
+             config, features=None) -> ClassifyResult:
     """Label a sentence relevant when sigmoid(S_r) exceeds one half.
 
     A sentence with no chunkable phrases cannot be scored and is labelled
-    a foil, flagged as such.
+    a foil, flagged as such. features is the scene's feature matrix, if
+    already computed.
     """
-    seq = _grounded(tokens, scene, taxonomy, config)
+    seq = _grounded(tokens, scene, taxonomy, config, features)
     if seq is None:
         return ClassifyResult(0.0, False, zero_phrases=True)
     prob = float(_sigmoid(np.array(model.score(seq))))
@@ -148,18 +162,18 @@ def content_word_indices(tokens, taxonomy: Taxonomy) -> list[int]:
     return out
 
 
-def _critic_scorer(model, scene, taxonomy, config):
+def _critic_scorer(model, scene, taxonomy, config, features):
     def score(tokens) -> float:
-        seq = _grounded(tokens, scene, taxonomy, config)
+        seq = _grounded(tokens, scene, taxonomy, config, features)
         if seq is None:
             return 0.0
         return float(_sigmoid(np.array(model.score(seq))))
     return score
 
 
-def _baseline_scorer(scene, taxonomy, config):
+def _baseline_scorer(scene, taxonomy, config, features):
     def score(tokens) -> float:
-        seq = _grounded(tokens, scene, taxonomy, config)
+        seq = _grounded(tokens, scene, taxonomy, config, features)
         if seq is None:
             return float("-inf")
         return grounding.mean_grounding_score(seq)
@@ -179,10 +193,11 @@ def _holdout_detect(tokens, taxonomy, score_fn) -> int:
 
 
 def detect_foil_word(tokens, scene: Scene, model: CriticModel,
-                     taxonomy: Taxonomy, config) -> int:
+                     taxonomy: Taxonomy, config, features=None) -> int:
     """Index of the content word whose removal most raises the score."""
-    return _holdout_detect(tokens, taxonomy,
-                           _critic_scorer(model, scene, taxonomy, config))
+    return _holdout_detect(
+        tokens, taxonomy,
+        _critic_scorer(model, scene, taxonomy, config, features))
 
 
 def _substitution_correct(tokens, foil_index, targets, score_fn) -> str:
@@ -202,7 +217,7 @@ def _substitution_correct(tokens, foil_index, targets, score_fn) -> str:
 
 def correct_foil_word(tokens, foil_index: int, scene: Scene,
                       model: CriticModel, taxonomy: Taxonomy, config,
-                      targets=None) -> str:
+                      targets=None, features=None) -> str:
     """Best-scoring substitution for the foiled word.
 
     The default target vocabulary is every same-category token other than
@@ -212,13 +227,13 @@ def correct_foil_word(tokens, foil_index: int, scene: Scene,
         targets = taxonomy.flip_pool(tokens[foil_index])
     return _substitution_correct(
         tokens, foil_index, targets,
-        _critic_scorer(model, scene, taxonomy, config))
+        _critic_scorer(model, scene, taxonomy, config, features))
 
 
 def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
-                      config) -> bool:
+                      config, features=None) -> bool:
     """Mean grounding score thresholded at tau; no phrases means foil."""
-    seq = _grounded(tokens, scene, taxonomy, config)
+    seq = _grounded(tokens, scene, taxonomy, config, features)
     if seq is None:
         return False
     return grounding.mean_grounding_score(seq) > tau
@@ -230,10 +245,12 @@ def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
     Candidates are the midpoints between consecutive distinct sorted means;
     the smallest optimal midpoint is returned.
     """
+    features = _features_by_scene(examples, scenes, taxonomy, config)
     means = []
     labels = []
     for ex in examples:
-        seq = _grounded(ex.tokens, scenes[ex.scene_id], taxonomy, config)
+        seq = _grounded(ex.tokens, scenes[ex.scene_id], taxonomy, config,
+                        features[ex.scene_id])
         means.append(grounding.mean_grounding_score(seq) if seq
                      else float("-inf"))
         labels.append(ex.label)
@@ -265,30 +282,35 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
         tau = tune_tau(build_foil_examples(dataset, "train"), scenes,
                        taxonomy, config)
 
+    features_by_scene = _features_by_scene(examples, scenes, taxonomy, config)
     cls_hits = base_cls_hits = 0
     det_hits = base_det_hits = 0
     cor_hits = base_cor_hits = 0
     foils = 0
     for ex in examples:
         scene = scenes[ex.scene_id]
-        got = classify(ex.tokens, scene, model, taxonomy, config).relevant
+        features = features_by_scene[ex.scene_id]
+        got = classify(ex.tokens, scene, model, taxonomy, config,
+                       features).relevant
         cls_hits += got == ex.label
-        base = baseline_classify(ex.tokens, scene, tau, taxonomy, config)
+        base = baseline_classify(ex.tokens, scene, tau, taxonomy, config,
+                                 features)
         base_cls_hits += base == ex.label
         if ex.label:
             continue
         foils += 1
         det_hits += detect_foil_word(ex.tokens, scene, model, taxonomy,
-                                     config) == ex.foil_index
-        base_det_hits += _holdout_detect(
-            ex.tokens, taxonomy,
-            _baseline_scorer(scene, taxonomy, config)) == ex.foil_index
+                                     config, features) == ex.foil_index
+        baseline = _baseline_scorer(scene, taxonomy, config, features)
+        base_det_hits += _holdout_detect(ex.tokens, taxonomy,
+                                         baseline) == ex.foil_index
         cor_hits += correct_foil_word(ex.tokens, ex.foil_index, scene, model,
-                                      taxonomy, config) == ex.correction
+                                      taxonomy, config,
+                                      features=features) == ex.correction
         base_cor_hits += _substitution_correct(
             ex.tokens, ex.foil_index,
             taxonomy.flip_pool(ex.tokens[ex.foil_index]),
-            _baseline_scorer(scene, taxonomy, config)) == ex.correction
+            baseline) == ex.correction
 
     n = len(examples)
     return FoilReport(

@@ -100,15 +100,30 @@ def _enumerate_space(phrases, taxonomy, n_phrases):
     return space
 
 
+def _space_size(per_phrase, counts) -> int:
+    """Number of distinct negatives in the flip space.
+
+    Every edit replaces one token by a different one, and the edits of one
+    negative touch distinct phrases, so no two edit sets of the space give
+    the same negative and none gives the positive.
+    """
+    size = sum(len(flips) for flips in per_phrase)
+    if 2 in counts:
+        size += sum(len(a) * len(b) for a, b in combinations(per_phrase, 2))
+    return size
+
+
 def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
                    seed=0) -> list[list[str]]:
     """Mine up to k distinct negatives for a sentence's token list.
 
     Each negative flips one token in each of one or two phrases (flip count
     uniform, at least one phrase left untouched when possible). Duplicates
-    of the positive or of each other are rejected; if rejection sampling
-    stalls the full flip space is enumerated, so the result always has
-    exactly min(k, |space|) entries.
+    of the positive or of each other are rejected. The flip space holds no
+    duplicates and never the positive, so sampling stops as soon as it has
+    found min(k, |space|) negatives; only if its budget runs out first is
+    the space enumerated for the rest. The result always has exactly
+    min(k, |space|) entries.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -119,16 +134,15 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
     positive = tuple(tokens)
     per_phrase = [_phrase_flips(p, taxonomy) for p in phrases]
     counts = _flip_counts(len(phrases))
+    flippable = [i for i in range(len(phrases)) if per_phrase[i]]
+    wanted = min(k, _space_size(per_phrase, counts))
 
     seen = {positive}
     negatives: list[list[str]] = []
     budget = 60 * k
-    while len(negatives) < k and budget > 0:
+    while len(negatives) < wanted and budget > 0:
         budget -= 1
-        n_flip = counts[int(rng.integers(len(counts)))]
-        flippable = [i for i in range(len(phrases)) if per_phrase[i]]
-        if len(flippable) < n_flip:
-            n_flip = len(flippable)
+        n_flip = min(counts[int(rng.integers(len(counts)))], len(flippable))
         if n_flip == 0:
             break
         chosen = rng.choice(len(flippable), size=n_flip, replace=False)
@@ -141,9 +155,9 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
             seen.add(negative)
             negatives.append(list(negative))
 
-    if len(negatives) < k:
-        # Rejection sampling exhausted its budget: the space is small, so
-        # enumerate it to return exactly min(k, |space|) negatives.
+    if len(negatives) < wanted:
+        # Rejection sampling exhausted its budget before finding them all:
+        # enumerate the space for the rest.
         for edits in _enumerate_space(phrases, taxonomy, len(phrases)):
             negative = _apply_edits(positive, edits)
             if negative not in seen:

@@ -341,14 +341,26 @@ class Dataset:
                 raise ConfigurationError(
                     f"dataset field {key!r} must be a {kind.__name__}, "
                     f"got {type(obj[key]).__name__}")
-        return cls(
-            taxonomy=Taxonomy.from_json(obj["taxonomy"]),
-            profiles=[ClassProfile.from_json(p) for p in obj["profiles"]],
-            scenes=[Scene.from_json(s) for s in obj["scenes"]],
-            sentences=[Sentence.from_json(s) for s in obj["sentences"]],
-            grounder=GrounderConfig(**obj["grounder"]),
-            seed=int(obj["seed"]),
-        )
+        sections = {
+            "taxonomy": lambda: Taxonomy.from_json(obj["taxonomy"]),
+            "profiles": lambda: [ClassProfile.from_json(p)
+                                 for p in obj["profiles"]],
+            "scenes": lambda: [Scene.from_json(s) for s in obj["scenes"]],
+            "sentences": lambda: [Sentence.from_json(s)
+                                  for s in obj["sentences"]],
+            "grounder": lambda: GrounderConfig(**obj["grounder"]),
+        }
+        built = {}
+        for key, build in sections.items():
+            try:
+                built[key] = build()
+            except ConfigurationError:
+                raise
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigurationError(
+                    f"malformed dataset {key!r}: {type(exc).__name__}: "
+                    f"{exc}") from exc
+        return cls(seed=int(obj["seed"]), **built)
 
     def save(self, path) -> None:
         write_json(path, self.to_json())

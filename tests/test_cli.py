@@ -306,3 +306,39 @@ def test_malformed_dataset_exits_5(workspace, tmp_path, capsys, key, value,
     record = stderr_record(err)
     assert record["error"] == "ConfigurationError"
     assert expected in record["message"]
+
+
+def _drop_scene_id(payload):
+    del payload["scenes"][0]["id"]
+
+
+def _int_tokens(payload):
+    payload["sentences"][0]["tokens"] = 5
+
+
+def _drop_kappa(payload):
+    del payload["taxonomy"]["kappa"]
+
+
+def _list_keypoints(payload):
+    payload["scenes"][0]["keypoints"] = []
+
+
+@pytest.mark.parametrize("corrupt, section", [
+    (_drop_scene_id, "'scenes'"), (_int_tokens, "'sentences'"),
+    (_drop_kappa, "'taxonomy'"), (_list_keypoints, "'scenes'"),
+])
+def test_malformed_nested_record_exits_5(workspace, tmp_path, capsys,
+                                         corrupt, section):
+    payload = read_json(workspace["ds"])
+    corrupt(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", str(bad),
+                       "--model", workspace["rank"],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert f"malformed dataset {section}" in record["message"]
+    assert not (tmp_path / "x.json").exists()

@@ -161,17 +161,32 @@ def test_noise_stream_is_per_scene_and_phrase_position(tiny_dataset):
 
 
 def test_ground_all_equals_individual_grounding(tiny_dataset):
+    """One product and one noise draw per sentence give exactly what
+    grounding each phrase on its own gives, with feature noise on."""
     taxonomy = tiny_dataset.taxonomy
-    config = tiny_dataset.grounder
-    scene = tiny_dataset.scenes[2]
-    sentence = next(s for s in tiny_dataset.sentences
-                    if s.scene_id == scene.scene_id)
-    phrases = chunk_sentence(sentence.tokens, taxonomy)
-    batch = ground_all(phrases, scene, taxonomy, config)
-    for i, p in enumerate(phrases):
-        single = ground_phrase(p, scene, taxonomy, config, phrase_index=i)
-        assert single.region_index == batch[i].region_index
-        assert single.score == batch[i].score
+    config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
+    scenes = {s.scene_id: s for s in tiny_dataset.scenes}
+    checked = 0
+    for sentence in tiny_dataset.sentences:
+        scene = scenes[sentence.scene_id]
+        phrases = chunk_sentence(sentence.tokens, taxonomy)
+        batch = ground_all(phrases, scene, taxonomy, config)
+        assert len(batch) == len(phrases)
+        for i, p in enumerate(phrases):
+            single = ground_phrase(p, scene, taxonomy, config, phrase_index=i)
+            got = batch[i]
+            assert got.phrase == p
+            assert got.region_index == single.region_index
+            assert got.part == single.part
+            assert got.box == single.box
+            assert got.score == single.score
+            for field in ("features", "mention", "match"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(single, field))
+            assert got.mention.base is None
+            checked += 1
+    assert checked > 300
+    assert ground_all([], tiny_dataset.scenes[0], taxonomy, config) == []
 
 
 def test_scene_features_shape(tiny_dataset):

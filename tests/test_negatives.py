@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from phrasecritic import textproc
-from phrasecritic.negatives import (RankPair, build_rank_pairs,
-                                    contradicts_scene, flip_phrase,
-                                    make_negatives, pairs_to_json)
+from phrasecritic.negatives import (RankPair, _apply_edits,
+                                    _enumerate_space, _flip_counts,
+                                    _phrase_flips, _space_size,
+                                    build_rank_pairs, contradicts_scene,
+                                    flip_phrase, make_negatives,
+                                    pairs_to_json)
 from phrasecritic.worldsim import Region, Scene, Taxonomy
 
 from conftest import load_schema
@@ -131,6 +134,85 @@ def test_make_negatives_deterministic(tiny_dataset, taxonomy):
     a = make_negatives(sentence.tokens, taxonomy, k=12, seed=9)
     b = make_negatives(sentence.tokens, taxonomy, k=12, seed=9)
     assert a == b
+
+
+def reference_make_negatives(tokens, taxonomy, k, seed):
+    """The sampler without the stop at the flip space's size: it draws
+    until it has k negatives or its budget of 60k draws is spent, then
+    enumerates the space for the rest."""
+    rng = np.random.default_rng(seed)
+    phrases = textproc.chunk_sentence(list(tokens), taxonomy)
+    positive = tuple(tokens)
+    per_phrase = [_phrase_flips(p, taxonomy) for p in phrases]
+    counts = _flip_counts(len(phrases))
+    seen = {positive}
+    negatives = []
+    budget = 60 * k
+    while len(negatives) < k and budget > 0:
+        budget -= 1
+        n_flip = counts[int(rng.integers(len(counts)))]
+        flippable = [i for i in range(len(phrases)) if per_phrase[i]]
+        if len(flippable) < n_flip:
+            n_flip = len(flippable)
+        if n_flip == 0:
+            break
+        chosen = rng.choice(len(flippable), size=n_flip, replace=False)
+        edits = []
+        for c in sorted(int(c) for c in chosen):
+            flips = per_phrase[flippable[c]]
+            edits.append(flips[int(rng.integers(len(flips)))])
+        negative = _apply_edits(positive, edits)
+        if negative not in seen:
+            seen.add(negative)
+            negatives.append(list(negative))
+    if len(negatives) < k:
+        for edits in _enumerate_space(phrases, taxonomy, len(phrases)):
+            negative = _apply_edits(positive, edits)
+            if negative not in seen:
+                seen.add(negative)
+                negatives.append(list(negative))
+                if len(negatives) == k:
+                    break
+    return negatives
+
+
+def first_gt_sentences(dataset):
+    """The first ground-truth sentence of every scene."""
+    firsts = {}
+    for sentence in dataset.sentences:
+        if sentence.foil is None:
+            firsts.setdefault(sentence.scene_id, sentence)
+    return list(firsts.values())
+
+
+def test_space_size_counts_the_distinct_negatives(tiny_dataset, taxonomy):
+    for sentence in first_gt_sentences(tiny_dataset):
+        phrases = textproc.chunk_sentence(sentence.tokens, taxonomy)
+        per_phrase = [_phrase_flips(p, taxonomy) for p in phrases]
+        space = _enumerate_space(phrases, taxonomy, len(phrases))
+        distinct = {_apply_edits(sentence.tokens, e) for e in space}
+        assert tuple(sentence.tokens) not in distinct
+        assert _space_size(per_phrase, _flip_counts(len(phrases))) == \
+            len(distinct)
+
+
+def test_make_negatives_stop_matches_reference_sampler(tiny_dataset,
+                                                       taxonomy):
+    """Stopping once the flip space is used up returns exactly what the
+    full-budget sampler returns, for k below, at and above the space."""
+    phrase_counts = set()
+    for sentence in first_gt_sentences(tiny_dataset):
+        phrases = textproc.chunk_sentence(sentence.tokens, taxonomy)
+        phrase_counts.add(len(phrases))
+        size = _space_size([_phrase_flips(p, taxonomy) for p in phrases],
+                           _flip_counts(len(phrases)))
+        for k in (size // 2, size, size + 1):
+            seed = [0, 5, sentence.scene_id]
+            got = make_negatives(sentence.tokens, taxonomy, k=k, seed=seed)
+            assert got == reference_make_negatives(sentence.tokens, taxonomy,
+                                                   k, seed)
+            assert len(got) == min(k, size)
+    assert phrase_counts == {2, 3, 4}
 
 
 def test_make_negatives_bad_inputs(taxonomy):
