@@ -153,11 +153,9 @@ def cmd_rank(args) -> int:
     records = []
     svg_items = []
     for scene in scenes:
-        profile = dataset.profile_for(scene.class_id)
-        candidates = generation.sample_candidates(
-            scene, profile, dataset.taxonomy, lms[scene.class_id],
-            n=args.candidates, error_rate=args.error_rate,
-            seed=np.random.default_rng([args.seed, 7, scene.scene_id]))
+        candidates = explain.candidate_pool(
+            dataset, lms, scene, args.candidates, args.error_rate,
+            np.random.default_rng([args.seed, 7, scene.scene_id]))
         explanation = explain.select_explanation(
             candidates, scene, model, dataset.taxonomy, dataset.grounder,
             args.threshold)
@@ -233,14 +231,10 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "rank")
     lms = generation.fit_class_lms(dataset)
-    if args.limit is not None:
-        kept = {s.scene_id
-                for s in dataset.scenes_in_split(args.split)[:args.limit]}
-        dataset.scenes = [s for s in dataset.scenes
-                          if s.split != args.split or s.scene_id in kept]
     report = metrics.compare_methods(
         dataset, model, lms, n=args.candidates, error_rate=args.error_rate,
-        seed=args.seed, threshold=args.threshold, split=args.split)
+        seed=args.seed, threshold=args.threshold, split=args.split,
+        limit=args.limit)
     out = _resolve_out(args.out)
     write_json(out, report.to_json())
     if args.table:

@@ -67,11 +67,18 @@ def explanation_to_json(explanation: "Explanation", scene: Scene) -> dict:
     return record
 
 
+def candidate_pool(dataset: Dataset, lms, scene: Scene, n: int,
+                   error_rate: float, rng: np.random.Generator):
+    """Sample n candidate explanations for a scene from its class's LM."""
+    return generation.sample_candidates(
+        scene, dataset.profile_for(scene.class_id), dataset.taxonomy,
+        lms[scene.class_id], n=n, error_rate=error_rate, seed=rng)
+
+
 def ground_candidates(candidates, scene, taxonomy, config):
-    """Ground every candidate's phrases against one shared feature matrix."""
-    features = grounding.scene_features(scene, taxonomy, config)
-    return [grounding.ground_all(c.phrases, scene, taxonomy, config, features)
-            for c in candidates]
+    """Ground each candidate once, through one SceneGrounder, for reuse."""
+    grounder = grounding.SceneGrounder(scene, taxonomy, config)
+    return [grounder.ground(c.phrases) for c in candidates]
 
 
 def select_explanation(candidates, scene: Scene, model: CriticModel,
@@ -82,11 +89,15 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
 
     Candidates with no chunkable phrases cannot be scored by the critic and
     are treated like gated ones. Ties resolve to the earliest candidate.
+    groundings, if given, holds every candidate's grounded phrases;
+    otherwise only the gate survivors (or the fallback pick) are grounded.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
     if groundings is None:
-        groundings = ground_candidates(candidates, scene, taxonomy, config)
+        grounder = grounding.SceneGrounder(scene, taxonomy, config)
+        groundings = grounding.LazyDict(
+            lambda i: grounder.ground(candidates[i].phrases))
 
     survivor_idx = [i for i, c in enumerate(candidates)
                     if c.fluency > threshold and c.phrases]
@@ -113,30 +124,18 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
 def counterfactual_class(scene: Scene, profiles) -> int:
     """Most attribute-similar other class for a scene (never its own)."""
     assignment = scene.assignment()
-    best_id = None
-    best_distance = None
-    for profile in profiles:
-        if profile.class_id == scene.class_id:
-            continue
-        d = assignment_distance(assignment, profile.assignment())
-        if best_distance is None or d < best_distance:
-            best_distance = d
-            best_id = profile.class_id
-    if best_id is None:
+    others = [p for p in profiles if p.class_id != scene.class_id]
+    if not others:
         raise ValueError("no other class available for a counterfactual")
-    return best_id
+    # min returns the first minimum, so ties go to the earliest profile.
+    return min(others, key=lambda p: assignment_distance(
+        assignment, p.assignment())).class_id
 
 
 def _nearest_scene(query: Scene, scenes) -> Scene:
     assignment = query.assignment()
-    best = None
-    best_distance = None
-    for scene in scenes:
-        d = assignment_distance(assignment, scene.assignment())
-        if best_distance is None or d < best_distance:
-            best_distance = d
-            best = scene
-    return best
+    return min(scenes, key=lambda s: assignment_distance(
+        assignment, s.assignment()))
 
 
 def counterfactual_evidence(query: Scene, cf_class: int, dataset: Dataset,
@@ -155,11 +154,9 @@ def counterfactual_evidence(query: Scene, cf_class: int, dataset: Dataset,
     if not neighbours:
         raise ValueError(f"no scenes of class {cf_class}")
     neighbour = _nearest_scene(query, neighbours)
-    profile = dataset.profile_for(cf_class)
-    candidates = generation.sample_candidates(
-        neighbour, profile, dataset.taxonomy, lms[cf_class], n=n,
-        error_rate=error_rate,
-        seed=np.random.default_rng([seed, 6, query.scene_id]))
+    candidates = candidate_pool(
+        dataset, lms, neighbour, n, error_rate,
+        np.random.default_rng([seed, 6, query.scene_id]))
     explanation = select_explanation(candidates, neighbour, model,
                                      dataset.taxonomy, dataset.grounder,
                                      threshold)

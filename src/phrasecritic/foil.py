@@ -6,6 +6,9 @@ content word in turn, rescore, and blame the word whose removal raises the
 score most (smallest index on ties). Correction substitutes each target
 word at the foiled position and keeps the best-scoring one (lexicographic
 ties).
+
+The evaluation grounds through one SceneGrounder per scene: each sentence
+variant is chunked and grounded once and shared by both scorers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grounding, textproc
+from . import grounding
 from .critic import (CriticHyper, CriticModel, TrainReport, _sigmoid,
                      train_classifier)
 from .errors import ConfigurationError
@@ -90,39 +93,17 @@ def build_foil_examples(dataset: Dataset, split: str) -> list[FoilExample]:
     return examples
 
 
-def _grounded(tokens, scene, taxonomy, config, features=None):
-    phrases = textproc.chunk_sentence(list(tokens), taxonomy)
-    if not phrases:
-        return None
-    return grounding.ground_all(phrases, scene, taxonomy, config, features)
-
-
-def _features_by_scene(examples, scenes, taxonomy, config) -> dict:
-    """One feature matrix per scene the examples mention."""
-    features = {}
-    for ex in examples:
-        if ex.scene_id not in features:
-            features[ex.scene_id] = grounding.scene_features(
-                scenes[ex.scene_id], taxonomy, config)
-    return features
-
-
 def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
                           seed: int = 0) -> tuple[CriticModel, TrainReport]:
     """Train a binary critic on the train-split foil examples."""
     scenes = {s.scene_id: s for s in dataset.scenes}
+    grounders = grounding.scene_grounders(scenes, dataset.taxonomy,
+                                          dataset.grounder)
 
     def prepare(split):
-        examples = build_foil_examples(dataset, split)
-        features = _features_by_scene(examples, scenes, dataset.taxonomy,
-                                      dataset.grounder)
-        prepared = []
-        for ex in examples:
-            seq = _grounded(ex.tokens, scenes[ex.scene_id], dataset.taxonomy,
-                            dataset.grounder, features[ex.scene_id])
-            if seq:
-                prepared.append((seq, ex.label))
-        return prepared
+        labelled = ((grounders[ex.scene_id].ground_tokens(ex.tokens), ex.label)
+                    for ex in build_foil_examples(dataset, split))
+        return [(seq, label) for seq, label in labelled if seq]
 
     model = CriticModel.for_taxonomy(dataset.taxonomy, hyper, seed,
                                      objective="binary")
@@ -139,17 +120,16 @@ class ClassifyResult:
 
 
 def classify(tokens, scene: Scene, model: CriticModel, taxonomy: Taxonomy,
-             config, features=None) -> ClassifyResult:
+             config) -> ClassifyResult:
     """Label a sentence relevant when sigmoid(S_r) exceeds one half.
 
     A sentence with no chunkable phrases cannot be scored and is labelled
-    a foil, flagged as such. features is the scene's feature matrix, if
-    already computed.
+    a foil, flagged as such.
     """
-    seq = _grounded(tokens, scene, taxonomy, config, features)
-    if seq is None:
+    grounder = grounding.SceneGrounder(scene, taxonomy, config)
+    if not grounder.ground_tokens(tokens):
         return ClassifyResult(0.0, False, zero_phrases=True)
-    prob = float(_sigmoid(np.array(model.score(seq))))
+    prob = _critic_scorer(model, grounder)(tokens)
     return ClassifyResult(prob, prob > 0.5)
 
 
@@ -162,21 +142,20 @@ def content_word_indices(tokens, taxonomy: Taxonomy) -> list[int]:
     return out
 
 
-def _critic_scorer(model, scene, taxonomy, config, features):
+def _critic_scorer(model, grounder):
+    """sigmoid(S_r) of a token sequence; 0 when it has no phrases."""
     def score(tokens) -> float:
-        seq = _grounded(tokens, scene, taxonomy, config, features)
-        if seq is None:
+        seq = grounder.ground_tokens(tokens)
+        if not seq:
             return 0.0
         return float(_sigmoid(np.array(model.score(seq))))
     return score
 
 
-def _baseline_scorer(scene, taxonomy, config, features):
+def _baseline_scorer(grounder):
+    """Mean raw grounding score of a token sequence; -inf without phrases."""
     def score(tokens) -> float:
-        seq = _grounded(tokens, scene, taxonomy, config, features)
-        if seq is None:
-            return float("-inf")
-        return grounding.mean_grounding_score(seq)
+        return grounding.mean_grounding_score(grounder.ground_tokens(tokens))
     return score
 
 
@@ -193,11 +172,10 @@ def _holdout_detect(tokens, taxonomy, score_fn) -> int:
 
 
 def detect_foil_word(tokens, scene: Scene, model: CriticModel,
-                     taxonomy: Taxonomy, config, features=None) -> int:
+                     taxonomy: Taxonomy, config) -> int:
     """Index of the content word whose removal most raises the score."""
-    return _holdout_detect(
-        tokens, taxonomy,
-        _critic_scorer(model, scene, taxonomy, config, features))
+    grounder = grounding.SceneGrounder(scene, taxonomy, config)
+    return _holdout_detect(tokens, taxonomy, _critic_scorer(model, grounder))
 
 
 def _substitution_correct(tokens, foil_index, targets, score_fn) -> str:
@@ -217,7 +195,7 @@ def _substitution_correct(tokens, foil_index, targets, score_fn) -> str:
 
 def correct_foil_word(tokens, foil_index: int, scene: Scene,
                       model: CriticModel, taxonomy: Taxonomy, config,
-                      targets=None, features=None) -> str:
+                      targets=None) -> str:
     """Best-scoring substitution for the foiled word.
 
     The default target vocabulary is every same-category token other than
@@ -225,18 +203,16 @@ def correct_foil_word(tokens, foil_index: int, scene: Scene,
     """
     if targets is None:
         targets = taxonomy.flip_pool(tokens[foil_index])
-    return _substitution_correct(
-        tokens, foil_index, targets,
-        _critic_scorer(model, scene, taxonomy, config, features))
+    grounder = grounding.SceneGrounder(scene, taxonomy, config)
+    return _substitution_correct(tokens, foil_index, targets,
+                                 _critic_scorer(model, grounder))
 
 
 def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
-                      config, features=None) -> bool:
+                      config) -> bool:
     """Mean grounding score thresholded at tau; no phrases means foil."""
-    seq = _grounded(tokens, scene, taxonomy, config, features)
-    if seq is None:
-        return False
-    return grounding.mean_grounding_score(seq) > tau
+    grounder = grounding.SceneGrounder(scene, taxonomy, config)
+    return _baseline_scorer(grounder)(tokens) > tau
 
 
 def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
@@ -245,17 +221,10 @@ def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
     Candidates are the midpoints between consecutive distinct sorted means;
     the smallest optimal midpoint is returned.
     """
-    features = _features_by_scene(examples, scenes, taxonomy, config)
-    means = []
-    labels = []
-    for ex in examples:
-        seq = _grounded(ex.tokens, scenes[ex.scene_id], taxonomy, config,
-                        features[ex.scene_id])
-        means.append(grounding.mean_grounding_score(seq) if seq
-                     else float("-inf"))
-        labels.append(ex.label)
-    means = np.array(means)
-    labels = np.array(labels)
+    grounders = grounding.scene_grounders(scenes, taxonomy, config)
+    means = np.array([grounding.mean_grounding_score(
+        grounders[ex.scene_id].ground_tokens(ex.tokens)) for ex in examples])
+    labels = np.array([ex.label for ex in examples])
     finite = np.unique(means[np.isfinite(means)])
     if len(finite) < 2:
         return float(finite[0] - 1.0) if len(finite) else 0.0
@@ -282,35 +251,32 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
         tau = tune_tau(build_foil_examples(dataset, "train"), scenes,
                        taxonomy, config)
 
-    features_by_scene = _features_by_scene(examples, scenes, taxonomy, config)
+    # The decisions of classify, baseline_classify, detect_foil_word and
+    # correct_foil_word, with both scorers sharing one grounder per scene.
+    grounders = grounding.scene_grounders(scenes, taxonomy, config)
     cls_hits = base_cls_hits = 0
     det_hits = base_det_hits = 0
     cor_hits = base_cor_hits = 0
     foils = 0
     for ex in examples:
-        scene = scenes[ex.scene_id]
-        features = features_by_scene[ex.scene_id]
-        got = classify(ex.tokens, scene, model, taxonomy, config,
-                       features).relevant
-        cls_hits += got == ex.label
-        base = baseline_classify(ex.tokens, scene, tau, taxonomy, config,
-                                 features)
-        base_cls_hits += base == ex.label
+        grounder = grounders[ex.scene_id]
+        critic = _critic_scorer(model, grounder)
+        baseline = _baseline_scorer(grounder)
+        cls_hits += (critic(ex.tokens) > 0.5) == ex.label
+        base_cls_hits += (baseline(ex.tokens) > tau) == ex.label
         if ex.label:
             continue
         foils += 1
-        det_hits += detect_foil_word(ex.tokens, scene, model, taxonomy,
-                                     config, features) == ex.foil_index
-        baseline = _baseline_scorer(scene, taxonomy, config, features)
+        det_hits += _holdout_detect(ex.tokens, taxonomy,
+                                    critic) == ex.foil_index
         base_det_hits += _holdout_detect(ex.tokens, taxonomy,
                                          baseline) == ex.foil_index
-        cor_hits += correct_foil_word(ex.tokens, ex.foil_index, scene, model,
-                                      taxonomy, config,
-                                      features=features) == ex.correction
-        base_cor_hits += _substitution_correct(
-            ex.tokens, ex.foil_index,
-            taxonomy.flip_pool(ex.tokens[ex.foil_index]),
-            baseline) == ex.correction
+        targets = taxonomy.flip_pool(ex.tokens[ex.foil_index])
+        cor_hits += _substitution_correct(ex.tokens, ex.foil_index, targets,
+                                          critic) == ex.correction
+        base_cor_hits += _substitution_correct(ex.tokens, ex.foil_index,
+                                               targets,
+                                               baseline) == ex.correction
 
     n = len(examples)
     return FoilReport(

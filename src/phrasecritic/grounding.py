@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textproc import AttributePhrase
+from .textproc import AttributePhrase, chunk_sentence
 from .worldsim import GrounderConfig, Region, Scene, Taxonomy
 
 GEOMETRY_DIMS = 4
@@ -98,12 +98,10 @@ def scene_features(scene: Scene, taxonomy: Taxonomy,
     ])
 
 
-def _score_noise_draws(config: GrounderConfig, scene_id: int,
-                       count: int) -> np.ndarray:
+def _noise_stream(config: GrounderConfig, scene_id: int):
     # One stream per scene, indexed by phrase position, so grounding phrases
     # one at a time or all at once yields identical scores.
-    rng = np.random.default_rng([config.seed, 2, scene_id])
-    return rng.standard_normal(count) * config.sigma
+    return np.random.default_rng([config.seed, 2, scene_id])
 
 
 def _ground_from_match(phrase: AttributePhrase, scene: Scene,
@@ -138,29 +136,81 @@ def ground_phrase(phrase: AttributePhrase, scene: Scene, taxonomy: Taxonomy,
         features = scene_features(scene, taxonomy, config)
     vec = embed_phrase(phrase, taxonomy)
     match = features[:, :taxonomy.vector_dim] @ vec
-    noise = _score_noise_draws(config, scene.scene_id, phrase_index + 1)[-1]
+    noise = _noise_stream(config, scene.scene_id).standard_normal(
+        phrase_index + 1)[-1] * config.sigma
     return _ground_from_match(phrase, scene, taxonomy, features, vec, match,
                               noise)
 
 
-def ground_all(phrases, scene: Scene, taxonomy: Taxonomy,
-               config: GrounderConfig,
-               features: np.ndarray | None = None) -> list[GroundedPhrase]:
-    """Ground a sentence's phrases in order, preserving sentence order.
-
-    Equal to ground_phrase on each phrase at its index, but with one noise
-    draw and one (phrases x regions) product for the whole sentence. The
-    products are sums of 0/1 indicators, hence exact in any order.
+class SceneGrounder:
+    """One scene's grounding context: its feature matrix, the drawn prefix
+    of its score-noise stream (extended only when a longer sentence needs
+    more: successive draws continue one stream), and a memo of sentences.
+    Each sentence equals ground_phrase on each phrase at its index.
     """
-    if not phrases:
-        return []
-    if features is None:
-        features = scene_features(scene, taxonomy, config)
-    mentions = [embed_phrase(p, taxonomy) for p in phrases]
-    matches = np.stack(mentions) @ features[:, :taxonomy.vector_dim].T
-    noise = _score_noise_draws(config, scene.scene_id, len(phrases))
-    return [_ground_from_match(p, scene, taxonomy, features, mention, match, n)
-            for p, mention, match, n in zip(phrases, mentions, matches, noise)]
+
+    def __init__(self, scene: Scene, taxonomy: Taxonomy,
+                 config: GrounderConfig):
+        self.scene = scene
+        self.taxonomy = taxonomy
+        self.config = config
+        self.features = scene_features(scene, taxonomy, config)
+        self._stream = _noise_stream(config, scene.scene_id)
+        self._noise = np.empty(0)
+        self._memo: dict[tuple, list[GroundedPhrase]] = {}
+
+    def ground(self, phrases) -> list[GroundedPhrase]:
+        """Ground a sentence's phrases in order, with one (phrases x regions)
+        product (sums of 0/1 indicators, hence exact) and one noise slice.
+        """
+        if not phrases:
+            return []
+        taxonomy, features = self.taxonomy, self.features
+        mentions = [embed_phrase(p, taxonomy) for p in phrases]
+        matches = np.stack(mentions) @ features[:, :taxonomy.vector_dim].T
+        missing = len(phrases) - len(self._noise)
+        if missing > 0:
+            more = self._stream.standard_normal(missing) * self.config.sigma
+            self._noise = np.concatenate([self._noise, more])
+        return [_ground_from_match(p, self.scene, taxonomy, features, mention,
+                                   match, n)
+                for p, mention, match, n
+                in zip(phrases, mentions, matches, self._noise)]
+
+    def ground_tokens(self, tokens) -> list[GroundedPhrase]:
+        """Chunk and ground a token sequence, once per distinct sequence.
+
+        Chunking is a pure function of the tokens, so the memo is exact.
+        Repeated sequences get the same list back: treat it as read-only.
+        """
+        key = tuple(tokens)
+        grounded = self._memo.get(key)
+        if grounded is None:
+            grounded = self.ground(chunk_sentence(list(tokens), self.taxonomy))
+            self._memo[key] = grounded
+        return grounded
+
+
+class LazyDict(dict):
+    """A dict that builds a missing value from its key on first lookup."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def scene_grounders(scenes, taxonomy, config) -> LazyDict:
+    """scene_id -> SceneGrounder, for a scene_id -> Scene mapping."""
+    return LazyDict(lambda i: SceneGrounder(scenes[i], taxonomy, config))
+
+
+def ground_all(phrases, scene: Scene, taxonomy: Taxonomy,
+               config: GrounderConfig) -> list[GroundedPhrase]:
+    """Ground one sentence's phrases through a fresh SceneGrounder."""
+    return SceneGrounder(scene, taxonomy, config).ground(phrases)
 
 
 def mean_grounding_score(grounded) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import explain, generation
+from . import explain
 from .critic import CriticModel
 from .grounding import mean_grounding_score
 from .worldsim import Dataset, Scene, Taxonomy
@@ -153,23 +153,23 @@ METHODS = ("fluency", "grounding_mean", "phrase_critic")
 def compare_methods(dataset: Dataset, model: CriticModel, lms,
                     n: int = 100, error_rate: float = 0.3, seed: int = 0,
                     threshold: float = explain.DEFAULT_FLUENCY_THRESHOLD,
-                    split: str = "test") -> MetricReport:
+                    split: str = "test",
+                    limit: int | None = None) -> MetricReport:
     """Score the three selection strategies on identical candidate pools.
 
-    For every scene in the split one candidate pool is sampled (with its
-    groundings computed once); the fluency-only, grounding-mean, and gated
-    phrase-critic selectors each pick from that same pool.
+    For every scene in the split (the first limit of them, if given) one
+    candidate pool is sampled (with its groundings computed once); the
+    fluency-only, grounding-mean, and gated phrase-critic selectors each
+    pick from that same pool.
     """
     taxonomy, config = dataset.taxonomy, dataset.grounder
-    scenes = dataset.scenes_in_split(split)
+    scenes = dataset.scenes_in_split(split)[:limit]
     selections: dict[str, list] = {name: [] for name in METHODS}
 
     for scene in scenes:
-        profile = dataset.profile_for(scene.class_id)
-        candidates = generation.sample_candidates(
-            scene, profile, taxonomy, lms[scene.class_id], n=n,
-            error_rate=error_rate,
-            seed=np.random.default_rng([seed, 7, scene.scene_id]))
+        candidates = explain.candidate_pool(
+            dataset, lms, scene, n, error_rate,
+            np.random.default_rng([seed, 7, scene.scene_id]))
         grounded = explain.ground_candidates(candidates, scene, taxonomy,
                                              config)
 

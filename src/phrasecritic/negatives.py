@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import textproc
+from .grounding import scene_grounders
 from .textproc import AttributePhrase
 from .worldsim import Dataset, Scene, Taxonomy
 
@@ -226,23 +227,15 @@ def ground_rank_pairs(dataset: Dataset, pairs):
 
     Returns a dict keyed by split whose values are lists of
     (positive grounded sequence, negative grounded sequence) ready for
-    ranker training. Per scene the feature matrix is computed once.
+    ranker training. Each distinct sentence of a scene is grounded once,
+    so pairs with the same positive share one grounded list.
     """
-    from . import grounding
-
-    scene_by_id = {s.scene_id: s for s in dataset.scenes}
-    features: dict[int, np.ndarray] = {}
+    grounders = scene_grounders({s.scene_id: s for s in dataset.scenes},
+                                dataset.taxonomy, dataset.grounder)
     grouped: dict[str, list] = {}
     for pair in pairs:
-        scene = scene_by_id[pair.scene_id]
-        if pair.scene_id not in features:
-            features[pair.scene_id] = grounding.scene_features(
-                scene, dataset.taxonomy, dataset.grounder)
-        shared = features[pair.scene_id]
-        sides = []
-        for tokens in (pair.positive, pair.negative):
-            phrases = textproc.chunk_sentence(list(tokens), dataset.taxonomy)
-            sides.append(grounding.ground_all(phrases, scene, dataset.taxonomy,
-                                              dataset.grounder, shared))
-        grouped.setdefault(pair.split, []).append(tuple(sides))
+        grounder = grounders[pair.scene_id]
+        grouped.setdefault(pair.split, []).append(
+            (grounder.ground_tokens(pair.positive),
+             grounder.ground_tokens(pair.negative)))
     return grouped

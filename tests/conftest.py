@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phrasecritic import Dataset, WorldConfig, generate_dataset
@@ -13,6 +14,17 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 def load_schema(name: str) -> dict:
     with open(SCHEMA_DIR / f"{name}.schema.json") as fh:
         return json.load(fh)
+
+
+def assert_same_groundings(got, want):
+    """Two grounded sequences agree field by field, arrays included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.phrase == b.phrase
+        assert (a.part, a.region_index, a.box, a.score) == \
+            (b.part, b.region_index, b.box, b.score)
+        for name in ("features", "mention", "match"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 @pytest.fixture(scope="session")

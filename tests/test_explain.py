@@ -12,6 +12,8 @@ from phrasecritic.explain import (DEFAULT_FLUENCY_THRESHOLD, Explanation,
                                   negate_phrase, select_explanation)
 from phrasecritic.worldsim import assignment_distance
 
+from conftest import assert_same_groundings
+
 
 @pytest.fixture(scope="module")
 def model(tiny_dataset):
@@ -60,17 +62,30 @@ def test_selection_picks_most_relevant_survivor(tiny_dataset, model,
 
 
 def test_gate_is_strict(tiny_dataset, model, scene_candidates):
+    """Also: grounding only the survivors (or the fallback pick) selects
+    exactly what grounding the whole pool up front selects."""
     scene, candidates = scene_candidates
     taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
+    pool = ground_candidates(candidates, scene, taxonomy, config)
+
+    def select(threshold):
+        lazy = select_explanation(candidates, scene, model, taxonomy, config,
+                                  threshold)
+        eager = select_explanation(candidates, scene, model, taxonomy,
+                                   config, threshold, groundings=pool)
+        assert (lazy.rank, lazy.relevance, lazy.gated_score,
+                lazy.fallback) == (eager.rank, eager.relevance,
+                                   eager.gated_score, eager.fallback)
+        assert_same_groundings(lazy.groundings, eager.groundings)
+        return lazy
+
     fluencies = sorted(c.fluency for c in candidates)
+    assert not select(DEFAULT_FLUENCY_THRESHOLD).fallback
     # threshold exactly at the best fluency gates everything (strict >)
-    explanation = select_explanation(candidates, scene, model, taxonomy,
-                                     config, threshold=fluencies[-1])
+    explanation = select(fluencies[-1])
     assert explanation.fallback
     # epsilon below it lets exactly the top candidate through
-    explanation = select_explanation(candidates, scene, model, taxonomy,
-                                     config,
-                                     threshold=fluencies[-1] - 1e-9)
+    explanation = select(fluencies[-1] - 1e-9)
     assert not explanation.fallback
     assert explanation.fluency == fluencies[-1]
 

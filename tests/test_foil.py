@@ -5,10 +5,10 @@ import pytest
 
 from phrasecritic import grounding, textproc
 from phrasecritic.critic import CriticHyper, CriticModel, _sigmoid
-from phrasecritic.foil import (build_foil_examples, classify,
-                               content_word_indices, correct_foil_word,
-                               detect_foil_word, run_foil_eval,
-                               train_foil_classifier, tune_tau,
+from phrasecritic.foil import (baseline_classify, build_foil_examples,
+                               classify, content_word_indices,
+                               correct_foil_word, detect_foil_word,
+                               run_foil_eval, train_foil_classifier, tune_tau,
                                _holdout_detect, _substitution_correct)
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import ATTRIBUTE_CATEGORIES
@@ -259,6 +259,52 @@ def test_run_foil_eval_report(tiny_dataset, model):
     table = report.to_table()
     assert "phrase critic" in table and "grounding mean" in table
     assert "%" in table
+
+
+def test_run_foil_eval_agrees_with_the_task_functions(tiny_dataset, model,
+                                                     scene_by_id):
+    """The report's six accuracies, recomputed one example at a time from
+    the public task functions and a mean-score scorer that grounds each
+    variant from scratch."""
+    taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
+
+    def baseline_scorer(scene):
+        def score(tokens):
+            phrases = textproc.chunk_sentence(tokens, taxonomy)
+            return grounding.mean_grounding_score(
+                grounding.ground_all(phrases, scene, taxonomy, config))
+        return score
+
+    for forced_tau in (None, 2.5):
+        report = run_foil_eval(tiny_dataset, model, tau=forced_tau)
+        hits = [0] * 6
+        examples = build_foil_examples(tiny_dataset, "test")
+        for ex in examples:
+            scene = scene_by_id[ex.scene_id]
+            hits[0] += classify(ex.tokens, scene, model, taxonomy,
+                                config).relevant == ex.label
+            hits[1] += baseline_classify(ex.tokens, scene, report.tau,
+                                         taxonomy, config) == ex.label
+            if ex.label:
+                continue
+            baseline = baseline_scorer(scene)
+            hits[2] += detect_foil_word(ex.tokens, scene, model, taxonomy,
+                                        config) == ex.foil_index
+            hits[3] += _holdout_detect(ex.tokens, taxonomy,
+                                       baseline) == ex.foil_index
+            hits[4] += correct_foil_word(ex.tokens, ex.foil_index, scene,
+                                         model, taxonomy,
+                                         config) == ex.correction
+            hits[5] += _substitution_correct(
+                ex.tokens, ex.foil_index,
+                taxonomy.flip_pool(ex.tokens[ex.foil_index]),
+                baseline) == ex.correction
+        n, foils = len(examples), report.num_foils
+        assert (report.classification, report.baseline_classification,
+                report.detection, report.baseline_detection,
+                report.correction, report.baseline_correction) == \
+            (hits[0] / n, hits[1] / n, hits[2] / foils, hits[3] / foils,
+             hits[4] / foils, hits[5] / foils)
 
 
 def test_foil_report_json_matches_schema(tiny_dataset, model):

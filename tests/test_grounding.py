@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from phrasecritic import chunk_sentence, ground_all, ground_phrase
+from phrasecritic import (SceneGrounder, chunk_sentence, ground_all,
+                          ground_phrase)
 from phrasecritic.grounding import (GEOMETRY_DIMS, embed_phrase, feature_dim,
                                     mean_grounding_score, region_features,
                                     scene_features)
 from phrasecritic.worldsim import GrounderConfig
+
+from conftest import assert_same_groundings
 
 NOISELESS = GrounderConfig(sigma=0.0, feature_noise=0.0, seed=0)
 
@@ -161,32 +164,55 @@ def test_noise_stream_is_per_scene_and_phrase_position(tiny_dataset):
 
 
 def test_ground_all_equals_individual_grounding(tiny_dataset):
-    """One product and one noise draw per sentence give exactly what
-    grounding each phrase on its own gives, with feature noise on."""
+    """One grounder per scene, with one product and one noise slice per
+    sentence, gives exactly what grounding each phrase on its own gives,
+    with feature noise on. Each scene's sentences go shortest first, so the
+    drawn noise prefix has to grow, then again in their own order, so it is
+    reused; a fresh ground_all agrees too."""
     taxonomy = tiny_dataset.taxonomy
     config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
-    scenes = {s.scene_id: s for s in tiny_dataset.scenes}
-    checked = 0
+    by_scene: dict[int, list] = {}
     for sentence in tiny_dataset.sentences:
-        scene = scenes[sentence.scene_id]
-        phrases = chunk_sentence(sentence.tokens, taxonomy)
-        batch = ground_all(phrases, scene, taxonomy, config)
-        assert len(batch) == len(phrases)
-        for i, p in enumerate(phrases):
-            single = ground_phrase(p, scene, taxonomy, config, phrase_index=i)
-            got = batch[i]
-            assert got.phrase == p
-            assert got.region_index == single.region_index
-            assert got.part == single.part
-            assert got.box == single.box
-            assert got.score == single.score
-            for field in ("features", "mention", "match"):
-                assert np.array_equal(getattr(got, field),
-                                      getattr(single, field))
-            assert got.mention.base is None
-            checked += 1
-    assert checked > 300
+        by_scene.setdefault(sentence.scene_id, []).append(
+            chunk_sentence(sentence.tokens, taxonomy))
+    checked = regrown = 0
+    for scene in tiny_dataset.scenes:
+        grounder = SceneGrounder(scene, taxonomy, config)
+        sentences = by_scene.get(scene.scene_id, [])
+        drawn = 0
+        for phrases in sorted(sentences, key=len) + sentences:
+            regrown += 0 < drawn < len(phrases)
+            drawn = max(drawn, len(phrases))
+            batch = grounder.ground(phrases)
+            assert_same_groundings(
+                batch, ground_all(phrases, scene, taxonomy, config))
+            assert len(batch) == len(phrases)
+            for i, p in enumerate(phrases):
+                single = ground_phrase(p, scene, taxonomy, config,
+                                       phrase_index=i)
+                assert batch[i].phrase is p
+                assert_same_groundings([batch[i]], [single])
+                assert batch[i].mention.base is None
+                checked += 1
+    assert checked > 600
+    assert regrown > 0
     assert ground_all([], tiny_dataset.scenes[0], taxonomy, config) == []
+
+
+def test_ground_tokens_memoises_by_tokens(tiny_dataset):
+    taxonomy = tiny_dataset.taxonomy
+    config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
+    sentence = tiny_dataset.sentences[0]
+    scene = next(s for s in tiny_dataset.scenes
+                 if s.scene_id == sentence.scene_id)
+    grounder = SceneGrounder(scene, taxonomy, config)
+    first = grounder.ground_tokens(sentence.tokens)
+    assert first
+    assert_same_groundings(first, ground_all(
+        chunk_sentence(sentence.tokens, taxonomy), scene, taxonomy, config))
+    # a repeat, even as another sequence type, returns the very same list
+    assert grounder.ground_tokens(tuple(sentence.tokens)) is first
+    assert grounder.ground_tokens(["this", "is", "a", "bird"]) == []
 
 
 def test_scene_features_shape(tiny_dataset):

@@ -1,18 +1,20 @@
 """Hard-negative mining: flip policy, contradiction filter, pair building."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from phrasecritic import textproc
+from phrasecritic import grounding, textproc
 from phrasecritic.negatives import (RankPair, _apply_edits,
                                     _enumerate_space, _flip_counts,
                                     _phrase_flips, _space_size,
                                     build_rank_pairs, contradicts_scene,
-                                    flip_phrase, make_negatives,
-                                    pairs_to_json)
-from phrasecritic.worldsim import Region, Scene, Taxonomy
+                                    flip_phrase, ground_rank_pairs,
+                                    make_negatives, pairs_to_json)
+from phrasecritic.worldsim import GrounderConfig, Region, Scene, Taxonomy
 
-from conftest import load_schema
+from conftest import assert_same_groundings, load_schema
 
 
 def first_gt_sentence(dataset, n_phrases=None):
@@ -284,6 +286,33 @@ def test_build_rank_pairs_properties(tiny_dataset, scene_by_id):
 def test_build_rank_pairs_deterministic(tiny_dataset):
     assert build_rank_pairs(tiny_dataset, k=3) == \
         build_rank_pairs(tiny_dataset, k=3)
+
+
+def test_ground_rank_pairs_matches_ground_all(tiny_dataset, scene_by_id):
+    """Both sides equal chunk_sentence + ground_all, with both noises on,
+    and pairs with the same positive share one grounded list."""
+    taxonomy = tiny_dataset.taxonomy
+    noisy = replace(tiny_dataset, grounder=GrounderConfig(
+        sigma=0.3, feature_noise=0.3, seed=4))
+    pairs = build_rank_pairs(tiny_dataset, k=4)
+    grouped = ground_rank_pairs(noisy, pairs)
+    assert sorted(grouped) == sorted({p.split for p in pairs})
+    by_positive: dict[tuple, list] = {}
+    for split, seqs in grouped.items():
+        split_pairs = [p for p in pairs if p.split == split]
+        assert len(seqs) == len(split_pairs)
+        for pair, (pos, neg) in zip(split_pairs, seqs):
+            scene = scene_by_id[pair.scene_id]
+            for tokens, got in ((pair.positive, pos), (pair.negative, neg)):
+                phrases = textproc.chunk_sentence(tokens, taxonomy)
+                assert_same_groundings(got, grounding.ground_all(
+                    phrases, scene, taxonomy, noisy.grounder))
+            key = (pair.scene_id, tuple(pair.positive))
+            by_positive.setdefault(key, []).append(pos)
+    shared = [seqs for seqs in by_positive.values() if len(seqs) > 1]
+    assert shared
+    for seqs in shared:
+        assert all(seq is seqs[0] for seq in seqs)
 
 
 def test_pairs_to_json_matches_schema(tiny_dataset):

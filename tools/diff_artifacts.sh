@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Byte-compare every CLI artifact of two checkouts on one small world.
+#
+# Usage: tools/diff_artifacts.sh OLD_CHECKOUT NEW_CHECKOUT SEED [synth flags...]
+#
+# With each checkout's src/ on PYTHONPATH, runs synth (6 classes x 20
+# scenes, 2 foils per scene, plus any extra synth flags), rank training
+# with --pairs-out and --report-out, binary training (batch 16, hidden 16)
+# with --report-out, then rank, counterfactual, eval, eval --limit 5 and
+# foil. Every artifact is compared with cmp; the exit status is non-zero
+# if any command fails or any artifact differs.
+set -euo pipefail
+
+if [ $# -lt 3 ]; then
+    echo "usage: $0 OLD_CHECKOUT NEW_CHECKOUT SEED [synth flags...]" >&2
+    exit 2
+fi
+old=$(cd "$1" && pwd)
+new=$(cd "$2" && pwd)
+seed=$3
+shift 3
+synth_flags=("$@")
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/diff_artifacts.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+
+ARTIFACTS="dataset pairs critic train_report foil_critic foil_train_report
+ranked counterfactuals metrics metrics_limit5 foil_report"
+
+build() {
+    local src=$1/src out=$2
+    mkdir -p "$out"
+    pc() { env -u PHRASECRITIC_OUTDIR PYTHONPATH="$src" \
+               python3 -m phrasecritic.cli "$@" > /dev/null; }
+    local ds=$out/dataset.json serve=(--model "$out/critic.json")
+    pc synth --out "$ds" --seed "$seed" --classes 6 --scenes-per-class 20 \
+        --foils-per-scene 2 "${synth_flags[@]}"
+    pc train --dataset "$ds" --objective rank --out "$out/critic.json" \
+        --seed "$seed" --pairs-out "$out/pairs.json" \
+        --report-out "$out/train_report.json"
+    pc train --dataset "$ds" --objective binary \
+        --out "$out/foil_critic.json" --seed "$seed" --batch-size 16 \
+        --hidden-dim 16 --report-out "$out/foil_train_report.json"
+    pc rank --dataset "$ds" "${serve[@]}" --seed "$seed" \
+        --out "$out/ranked.json"
+    pc counterfactual --dataset "$ds" "${serve[@]}" --seed "$seed" \
+        --out "$out/counterfactuals.json"
+    pc eval --dataset "$ds" "${serve[@]}" --seed "$seed" \
+        --out "$out/metrics.json"
+    pc eval --dataset "$ds" "${serve[@]}" --seed "$seed" --limit 5 \
+        --out "$out/metrics_limit5.json"
+    pc foil --dataset "$ds" --model "$out/foil_critic.json" \
+        --out "$out/foil_report.json"
+}
+
+build "$old" "$work/old"
+build "$new" "$work/new"
+
+status=0
+for name in $ARTIFACTS; do
+    if cmp -s "$work/old/$name.json" "$work/new/$name.json"; then
+        echo "same    $name.json"
+    else
+        echo "DIFFERS $name.json"
+        status=1
+    fi
+done
+exit $status
