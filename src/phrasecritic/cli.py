@@ -65,7 +65,14 @@ def _load_model(path: str, objective: str) -> CriticModel:
 
 
 def _select_scenes(dataset: Dataset, args):
-    if args.scene:
+    """The --scene ids, or else the --split scenes, cut to --limit.
+
+    A negative --limit, an unknown scene id or an empty split raises
+    ValueError (exit 5).
+    """
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    if getattr(args, "scene", None):
         by_id = {s.scene_id: s for s in dataset.scenes}
         missing = [i for i in args.scene if i not in by_id]
         if missing:
@@ -75,18 +82,14 @@ def _select_scenes(dataset: Dataset, args):
         scenes = dataset.scenes_in_split(args.split)
         if not scenes:
             raise ValueError(f"no scenes in split {args.split!r}")
-    if args.limit is not None:
-        scenes = scenes[:args.limit]
-    return scenes
+    return scenes[:args.limit]
 
 
-def _hyper_from_args(args) -> CriticHyper:
-    overrides = {}
-    for field in fields(CriticHyper):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
-    return CriticHyper(**overrides)
+def _from_args(cls, args):
+    """A cls instance from the fields the command line set; the dataclass
+    holds every default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if getattr(args, f.name, None) is not None})
 
 
 def _emit_scene_svgs(directory: str, items) -> None:
@@ -99,12 +102,7 @@ def _emit_scene_svgs(directory: str, items) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    config = WorldConfig(
-        colors=args.colors, sizes=args.sizes, patterns=args.patterns,
-        num_classes=args.classes, scenes_per_class=args.scenes_per_class,
-        sentences_per_scene=args.sentences_per_scene,
-        foils_per_scene=args.foils_per_scene, noise=args.noise,
-        sigma=args.sigma, feature_noise=args.feature_noise)
+    config = _from_args(WorldConfig, args)
     dataset = generate_dataset(config, args.seed)
     out = _resolve_out(args.out)
     dataset.save(out)
@@ -118,7 +116,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args.dataset)
-    hyper = _hyper_from_args(args)
+    hyper = _from_args(CriticHyper, args)
     if args.objective == "rank":
         pairs = negatives.build_rank_pairs(
             dataset, k=args.pairs_per_scene, seed=args.seed,
@@ -230,6 +228,7 @@ def cmd_foil(args) -> int:
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "rank")
+    _select_scenes(dataset, args)  # only to reject a bad --split or --limit
     lms = generation.fit_class_lms(dataset)
     report = metrics.compare_methods(
         dataset, model, lms, n=args.candidates, error_rate=args.error_rate,
@@ -254,19 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "bird scenes")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The synth and train config flags have no parser default: WorldConfig
+    # and CriticHyper hold them (see _from_args).
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="dataset JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=20)
-    p.add_argument("--scenes-per-class", type=int, default=150)
-    p.add_argument("--sentences-per-scene", type=int, default=10)
-    p.add_argument("--foils-per-scene", type=int, default=1)
-    p.add_argument("--colors", type=int, default=8)
-    p.add_argument("--sizes", type=int, default=4)
-    p.add_argument("--patterns", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--feature-noise", type=float, default=0.0)
+    p.add_argument("--classes", dest="num_classes", type=int,
+                   metavar="CLASSES")
+    p.add_argument("--scenes-per-class", type=int)
+    p.add_argument("--sentences-per-scene", type=int)
+    p.add_argument("--foils-per-scene", type=int)
+    p.add_argument("--colors", type=int)
+    p.add_argument("--sizes", type=int)
+    p.add_argument("--patterns", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--feature-noise", type=float)
     p.add_argument("--emit-svg", metavar="DIR",
                    help="also render scene SVGs into DIR")
     p.add_argument("--svg-limit", type=int, default=8)
@@ -282,66 +284,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground-truth sentences per scene to pair up")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--hidden-dim", type=int)
     p.add_argument("--pairs-out", help="also write the mined pairs")
     p.add_argument("--report-out", help="also write the training report")
     p.add_argument("--include-timing", action="store_true",
                    help="include wall-clock time in the report")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("rank", help="select explanations for scenes")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
+    # Flags shared by the commands that read a dataset and a checkpoint,
+    # and by those that also sample candidate pools for selected scenes.
+    serve = argparse.ArgumentParser(add_help=False)
+    serve.add_argument("--dataset", required=True)
+    serve.add_argument("--model", required=True,
+                       help="critic checkpoint (binary for foil, rank "
+                            "otherwise)")
+    serve.add_argument("--out", required=True)
+    serve.add_argument("--split", default="test")
+    select = argparse.ArgumentParser(add_help=False, parents=[serve])
+    select.add_argument("--limit", type=int)
+    select.add_argument("--candidates", type=int, default=100)
+    select.add_argument("--error-rate", type=float, default=0.3)
+    select.add_argument("--threshold", type=float,
+                        default=explain.DEFAULT_FLUENCY_THRESHOLD)
+    select.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("rank", parents=[select],
+                       help="select explanations for scenes")
     p.add_argument("--scene", type=int, action="append",
                    help="explicit scene id (repeatable)")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--error-rate", type=float, default=0.3)
-    p.add_argument("--threshold", type=float,
-                   default=explain.DEFAULT_FLUENCY_THRESHOLD)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-svg", metavar="DIR")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("counterfactual",
+    p = sub.add_parser("counterfactual", parents=[select],
                        help="evidence against the nearest other class")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
     p.add_argument("--scene", type=int, action="append")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--error-rate", type=float, default=0.3)
-    p.add_argument("--threshold", type=float,
-                   default=explain.DEFAULT_FLUENCY_THRESHOLD)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_counterfactual)
 
-    p = sub.add_parser("foil", help="evaluate the three foil tasks")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True, help="binary-critic checkpoint")
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
+    p = sub.add_parser("foil", parents=[serve],
+                       help="evaluate the three foil tasks")
     p.add_argument("--tau", type=float,
                    help="baseline threshold; tuned on train when omitted")
     p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_foil)
 
-    p = sub.add_parser("eval", help="compare selection strategies")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True, help="rank-critic checkpoint")
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--error-rate", type=float, default=0.3)
-    p.add_argument("--threshold", type=float,
-                   default=explain.DEFAULT_FLUENCY_THRESHOLD)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("eval", parents=[select],
+                       help="compare selection strategies")
     p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_eval)
 

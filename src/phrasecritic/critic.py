@@ -152,12 +152,6 @@ class CriticModel:
         scores, _ = _forward(self, pack_sequences(sequences, self))
         return scores
 
-    def clone(self) -> "CriticModel":
-        other = CriticModel(self.vocab, self.feature_dim, self.hyper,
-                            objective=self.objective)
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        return other
-
 
 # -- losses -----------------------------------------------------------------
 
@@ -165,12 +159,6 @@ def rank_loss(s_p: float, s_n: float, margin: float = 1.0) -> float:
     """Margin ranking loss max(0, s_n - s_p + margin); zero iff the
     positive clears the negative by the full margin."""
     return float(max(0.0, s_n - s_p + margin))
-
-
-def binary_loss(s: float, label) -> float:
-    """Logistic cross-entropy of sigmoid(s) against a boolean label."""
-    s = float(s)
-    return float(np.logaddexp(0.0, -s) if label else np.logaddexp(0.0, s))
 
 
 # -- packing ----------------------------------------------------------------

@@ -34,9 +34,10 @@ def box_center(box):
     return (x + w / 2.0, y + h / 2.0)
 
 
-def keypoint_hits(grounded, scene: Scene, taxonomy: Taxonomy):
-    """Per-part (hits, total) counts plus how many phrases were excluded."""
-    counts: dict[str, list[int]] = {}
+def keypoint_sums(grounded, scene: Scene, taxonomy: Taxonomy):
+    """Per-part [hits, phrases, summed centre-to-keypoint distance], plus
+    how many phrases were excluded (no part, or no keypoint for it)."""
+    sums: dict[str, list] = {}
     excluded = 0
     for g in grounded:
         part = taxonomy.canonical_part(g.phrase.noun)
@@ -44,33 +45,24 @@ def keypoint_hits(grounded, scene: Scene, taxonomy: Taxonomy):
         if keypoint is None:
             excluded += 1
             continue
-        entry = counts.setdefault(part, [0, 0])
+        cx, cy = box_center(g.box)
+        entry = sums.setdefault(part, [0, 0, 0.0])
         entry[0] += point_in_box(keypoint, g.box)
         entry[1] += 1
-    return counts, excluded
+        entry[2] += math.hypot(cx - keypoint[0], cy - keypoint[1])
+    return sums, excluded
 
 
 def keypoint_accuracy(grounded, scene: Scene, taxonomy: Taxonomy):
     """Per-part fraction of groundings whose box contains the keypoint."""
-    counts, excluded = keypoint_hits(grounded, scene, taxonomy)
-    return {part: hit / total for part, (hit, total) in counts.items()}, \
-        excluded
+    sums, excluded = keypoint_sums(grounded, scene, taxonomy)
+    return {part: hits / n for part, (hits, n, _) in sums.items()}, excluded
 
 
 def keypoint_distance(grounded, scene: Scene, taxonomy: Taxonomy):
     """Per-part mean Euclidean distance from box centre to keypoint."""
-    sums: dict[str, list[float]] = {}
-    for g in grounded:
-        part = taxonomy.canonical_part(g.phrase.noun)
-        keypoint = scene.keypoints.get(part) if part else None
-        if keypoint is None:
-            continue
-        cx, cy = box_center(g.box)
-        d = math.hypot(cx - keypoint[0], cy - keypoint[1])
-        entry = sums.setdefault(part, [0.0, 0.0])
-        entry[0] += d
-        entry[1] += 1.0
-    return {part: total / n for part, (total, n) in sums.items()}
+    sums, _ = keypoint_sums(grounded, scene, taxonomy)
+    return {part: dist / n for part, (_, n, dist) in sums.items()}
 
 
 def phrase_correct(phrase, scene: Scene, taxonomy: Taxonomy) -> bool:
@@ -192,28 +184,18 @@ def compare_methods(dataset: Dataset, model: CriticModel, lms,
     for name, picks in selections.items():
         cnp, cs = cnp_cs([p for p, _, _ in picks], [s for _, _, s in picks],
                          taxonomy)
-        acc_counts: dict[str, list[int]] = {}
-        dist_sums: dict[str, list[float]] = {}
+        totals: dict[str, list] = {}
         excluded = 0
         for _, grounded, scene in picks:
-            counts, skipped = keypoint_hits(grounded, scene, taxonomy)
+            sums, skipped = keypoint_sums(grounded, scene, taxonomy)
             excluded += skipped
-            for part, (hit, total) in counts.items():
-                entry = acc_counts.setdefault(part, [0, 0])
-                entry[0] += hit
-                entry[1] += total
-            for part, dist in keypoint_distance(grounded, scene,
-                                                taxonomy).items():
-                # keypoint_distance returns per-part means for one scene;
-                # re-accumulate with that scene's phrase count as weight.
-                count = counts[part][1]
-                entry = dist_sums.setdefault(part, [0.0, 0.0])
-                entry[0] += dist * count
-                entry[1] += count
+            for part, row in sums.items():
+                totals[part] = [t + v for t, v
+                                in zip(totals.get(part, (0, 0, 0.0)), row)]
         report.methods[name] = MethodMetrics(
             cnp=cnp, cs=cs,
-            keypoint_acc={p: h / t for p, (h, t) in acc_counts.items()},
-            keypoint_dist={p: s / n_ for p, (s, n_) in dist_sums.items()},
+            keypoint_acc={p: h / n for p, (h, n, _) in totals.items()},
+            keypoint_dist={p: d / n for p, (_, n, d) in totals.items()},
             excluded=excluded,
         )
     return report

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import textproc
 from .grounding import scene_grounders
+from .metrics import phrase_correct
 from .textproc import AttributePhrase
 from .worldsim import Dataset, Scene, Taxonomy
 
@@ -44,32 +45,6 @@ def _phrase_flips(phrase: AttributePhrase, taxonomy: Taxonomy):
     for alt in taxonomy.flip_pool(phrase.noun):
         flips.append((phrase.noun_position, alt))
     return flips
-
-
-def flip_phrase(phrase: AttributePhrase, taxonomy: Taxonomy,
-                seed=0) -> AttributePhrase:
-    """Flip one adjective or the head noun to a same-category token.
-
-    The flip is uniform over all valid (position, replacement) edits.
-    """
-    rng = np.random.default_rng(seed)
-    flips = _phrase_flips(phrase, taxonomy)
-    if not flips:
-        raise ValueError("phrase has no same-category alternatives")
-    pos, replacement = flips[int(rng.integers(len(flips)))]
-    if pos == phrase.noun_position:
-        return AttributePhrase(
-            adjectives=phrase.adjectives, noun=replacement, span=phrase.span,
-            categories=phrase.categories,
-            adj_positions=phrase.adj_positions,
-            noun_position=phrase.noun_position)
-    which = phrase.adj_positions.index(pos)
-    adjectives = list(phrase.adjectives)
-    adjectives[which] = replacement
-    return AttributePhrase(
-        adjectives=tuple(adjectives), noun=phrase.noun, span=phrase.span,
-        categories=phrase.categories, adj_positions=phrase.adj_positions,
-        noun_position=phrase.noun_position)
 
 
 def _apply_edits(tokens, edits) -> tuple[str, ...]:
@@ -171,15 +146,8 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
 
 def contradicts_scene(tokens, scene: Scene, taxonomy: Taxonomy) -> bool:
     """True if any phrase mentions an attribute the scene does not have."""
-    for phrase in textproc.chunk_sentence(list(tokens), taxonomy):
-        part = taxonomy.canonical_part(phrase.noun)
-        region = scene.region_for(part) if part else None
-        if region is None:
-            return True
-        truths = set(region.attrs.values())
-        if any(adj not in truths for adj in phrase.adjectives):
-            return True
-    return False
+    return not all(phrase_correct(p, scene, taxonomy)
+                   for p in textproc.chunk_sentence(list(tokens), taxonomy))
 
 
 def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,

@@ -14,7 +14,7 @@ _PALETTE = {
     "red": "#c0392b", "blue": "#2980b9", "green": "#27ae60",
     "yellow": "#f1c40f", "black": "#2c3e50", "white": "#ecf0f1",
     "brown": "#8e6e53", "grey": "#95a5a6", "orange": "#e67e22",
-    "purple": "#8e44ad",
+    "pink": "#e84393",
 }
 _FALLBACK_FILL = "#bdc3c7"
 

@@ -313,9 +313,6 @@ class Dataset:
     def scenes_in_split(self, split: str) -> list[Scene]:
         return [s for s in self.scenes if s.split == split]
 
-    def sentences_for_scene(self, scene_id: int) -> list[Sentence]:
-        return [s for s in self.sentences if s.scene_id == scene_id]
-
     def to_json(self) -> dict:
         return {
             "format": self.FORMAT,
@@ -360,7 +357,40 @@ class Dataset:
                 raise ConfigurationError(
                     f"malformed dataset {key!r}: {type(exc).__name__}: "
                     f"{exc}") from exc
-        return cls(seed=int(obj["seed"]), **built)
+        dataset = cls(seed=int(obj["seed"]), **built)
+        dataset._check_references()
+        return dataset
+
+    def _check_references(self) -> None:
+        """Reject records that refer to a class, part, scene or token the
+        dataset does not hold, naming the first such record."""
+        for i, profile in enumerate(self.profiles):
+            if profile.class_id != i:
+                raise ConfigurationError(
+                    f"dataset profile {i} has class_id {profile.class_id}; "
+                    f"profiles must be listed in class-id order")
+        for scene in self.scenes:
+            if not 0 <= scene.class_id < len(self.profiles):
+                raise ConfigurationError(
+                    f"dataset scene {scene.scene_id} has class "
+                    f"{scene.class_id}, which has no profile")
+            for region in scene.regions:
+                if region.part not in self.taxonomy.parts:
+                    raise ConfigurationError(
+                        f"dataset scene {scene.scene_id} has a region for "
+                        f"{region.part!r}, which is not a taxonomy part")
+        scene_ids = {scene.scene_id for scene in self.scenes}
+        for i, sentence in enumerate(self.sentences):
+            if sentence.scene_id not in scene_ids:
+                raise ConfigurationError(
+                    f"dataset sentence {i} names scene {sentence.scene_id}, "
+                    f"which is not in the dataset")
+            foil = sentence.foil
+            if foil is not None and not 0 <= foil.index < len(
+                    sentence.tokens):
+                raise ConfigurationError(
+                    f"dataset sentence {i} has foil index {foil.index} "
+                    f"outside its {len(sentence.tokens)} tokens")
 
     def save(self, path) -> None:
         write_json(path, self.to_json())

@@ -6,8 +6,12 @@ import os
 import pytest
 
 from phrasecritic.cli import (EXIT_BAD_CHECKPOINT, EXIT_BAD_CONFIG,
-                              EXIT_MISSING_FILE, main)
+                              EXIT_MISSING_FILE, _from_args, build_parser,
+                              main)
+from phrasecritic.critic import CriticHyper
+from phrasecritic.explain import DEFAULT_FLUENCY_THRESHOLD
 from phrasecritic.jsonio import read_json
+from phrasecritic.worldsim import WorldConfig
 
 SYNTH_FLAGS = ["--classes", "3", "--scenes-per-class", "6",
                "--sentences-per-scene", "2", "--seed", "0"]
@@ -169,6 +173,58 @@ def test_outdir_env_var(workspace, tmp_path, capsys, monkeypatch):
                      "--limit", "1", "--candidates", "10")
     assert code == 0
     assert absolute.is_file()
+
+
+# -- parsing -------------------------------------------------------------------
+
+def test_config_defaults_come_from_the_dataclasses():
+    parser = build_parser()
+    assert _from_args(WorldConfig, parser.parse_args(
+        ["synth", "--out", "x"])) == WorldConfig()
+    assert _from_args(CriticHyper, parser.parse_args(
+        ["train", "--dataset", "d", "--out", "m"])) == CriticHyper()
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("synth", "--classes", 3, "num_classes"),
+    ("synth", "--scenes-per-class", 7, "scenes_per_class"),
+    ("synth", "--sentences-per-scene", 4, "sentences_per_scene"),
+    ("synth", "--foils-per-scene", 2, "foils_per_scene"),
+    ("synth", "--colors", 10, "colors"),
+    ("synth", "--sizes", 3, "sizes"),
+    ("synth", "--patterns", 5, "patterns"),
+    ("synth", "--noise", 0.4, "noise"),
+    ("synth", "--sigma", 0.3, "sigma"),
+    ("synth", "--feature-noise", 0.2, "feature_noise"),
+    ("train", "--epochs", 3, "epochs"),
+    ("train", "--lr", 0.1, "lr"),
+    ("train", "--batch-size", 16, "batch_size"),
+    ("train", "--hidden-dim", 8, "hidden_dim"),
+])
+def test_config_flag_sets_its_field(command, flag, value, field):
+    cls, argv = ((WorldConfig, ["synth"]) if command == "synth"
+                 else (CriticHyper, ["train", "--dataset", "d"]))
+    args = build_parser().parse_args(argv + ["--out", "x", flag, str(value)])
+    assert _from_args(cls, args) == cls(**{field: value})
+
+
+SERVE = ["--dataset", "d", "--model", "m", "--out", "o"]
+SERVE_DEFAULTS = {"dataset": "d", "model": "m", "out": "o", "split": "test"}
+SELECT_DEFAULTS = dict(SERVE_DEFAULTS, limit=None, candidates=100,
+                       error_rate=0.3, threshold=DEFAULT_FLUENCY_THRESHOLD,
+                       seed=0)
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("rank", dict(SELECT_DEFAULTS, scene=None, emit_svg=None)),
+    ("counterfactual", dict(SELECT_DEFAULTS, scene=None)),
+    ("eval", dict(SELECT_DEFAULTS, table=False)),
+    ("foil", dict(SERVE_DEFAULTS, tau=None, table=False)),
+])
+def test_shared_flags_parse_to_the_same_defaults(command, expected):
+    args = vars(build_parser().parse_args([command] + SERVE))
+    del args["func"]
+    assert args == dict(expected, command=command)
 
 
 # -- failure modes ----------------------------------------------------------------
@@ -341,4 +397,63 @@ def test_malformed_nested_record_exits_5(workspace, tmp_path, capsys,
     record = stderr_record(err)
     assert record["error"] == "ConfigurationError"
     assert f"malformed dataset {section}" in record["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def _orphan_sentence(payload):
+    payload["sentences"][0]["scene_id"] = 99999
+
+
+def _unknown_class(payload):
+    payload["scenes"][0]["class"] = 50
+
+
+def _unknown_part(payload):
+    payload["scenes"][0]["regions"][0]["part"] = "tail"
+
+
+def _foil_out_of_range(payload):
+    next(s for s in payload["sentences"] if s["foil"])["foil"]["index"] = 99
+
+
+def _reversed_profiles(payload):
+    payload["profiles"].reverse()
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (_orphan_sentence, "sentence 0 names scene 99999"),
+    (_unknown_class, "scene 0 has class 50"),
+    (_unknown_part, "scene 0 has a region for 'tail'"),
+    (_foil_out_of_range, "foil index 99"),
+    (_reversed_profiles, "profile 0 has class_id 2"),
+])
+def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
+                                    expected):
+    payload = read_json(workspace["ds"])
+    corrupt(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for argv in (["rank", "--model", workspace["rank"]],
+                 ["train", "--objective", "binary"]):
+        code, _, err = run(capsys, *argv, "--dataset", str(bad),
+                           "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_BAD_CONFIG
+        record = stderr_record(err)
+        assert record["error"] == "ConfigurationError"
+        assert expected in record["message"]
+        assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "counterfactual", "eval"])
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--limit", "-2", "--limit must be >= 0, got -2"),
+    ("--split", "nosuch", "no scenes in split 'nosuch'"),
+])
+def test_bad_selection_exits_5(workspace, tmp_path, capsys, command, flag,
+                               value, expected):
+    code, _, err = run(capsys, command, "--dataset", workspace["ds"],
+                       "--model", workspace["rank"],
+                       "--out", str(tmp_path / "x.json"), flag, value)
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == expected
     assert not (tmp_path / "x.json").exists()

@@ -7,8 +7,8 @@ import pytest
 
 from phrasecritic import grounding, textproc
 from phrasecritic.critic import (CriticHyper, CriticModel, UNK, _forward,
-                                 binary_loss, gradients, load_checkpoint,
-                                 pack_sequences, pairwise_accuracy, rank_loss,
+                                 gradients, load_checkpoint, pack_sequences,
+                                 pairwise_accuracy, rank_loss,
                                  save_checkpoint, train_classifier,
                                  train_ranker)
 from phrasecritic.errors import CheckpointError, TrainingDivergedError
@@ -114,13 +114,6 @@ def test_unk_is_index_zero(tiny_dataset):
     assert other.index["red"] == 1
 
 
-def test_clone_is_detached(small_model):
-    clone = small_model.clone()
-    clone.params["w_2"][0] += 1.0
-    assert small_model.params["w_2"][0] != clone.params["w_2"][0]
-    assert clone.vocab == small_model.vocab
-
-
 # -- losses -------------------------------------------------------------------
 
 def test_rank_loss_semantics():
@@ -129,15 +122,6 @@ def test_rank_loss_semantics():
     assert rank_loss(0.0, 0.0, margin=1.0) == pytest.approx(1.0)
     assert rank_loss(-1.0, 2.0, margin=1.0) == pytest.approx(4.0)
     assert rank_loss(1.0, 0.5, margin=0.2) == 0.0
-
-
-def test_binary_loss_semantics():
-    assert binary_loss(0.0, True) == pytest.approx(math.log(2.0))
-    assert binary_loss(0.0, False) == pytest.approx(math.log(2.0))
-    assert binary_loss(4.0, True) == pytest.approx(math.log1p(math.exp(-4.0)))
-    assert binary_loss(-4.0, False) == pytest.approx(
-        math.log1p(math.exp(-4.0)))
-    assert binary_loss(50.0, False) > 40.0
 
 
 # -- gradients against central finite differences -----------------------------

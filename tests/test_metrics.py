@@ -9,7 +9,7 @@ from phrasecritic import generation, grounding, textproc
 from phrasecritic.critic import CriticHyper, CriticModel
 from phrasecritic.metrics import (METHODS, box_center, cnp_cs,
                                   compare_methods, keypoint_accuracy,
-                                  keypoint_distance, keypoint_hits,
+                                  keypoint_distance, keypoint_sums,
                                   phrase_correct, point_in_box)
 from phrasecritic.worldsim import Region, Scene
 
@@ -63,8 +63,10 @@ def test_keypoint_hits_and_exclusions(taxonomy):
         make_grounded(make_phrase(["red"], "wing"), (0.6, 0.6, 0.1, 0.1)),
         make_grounded(make_phrase(["blue"], "head"), (0.9, 0.9, 0.1, 0.1)),
     ]
-    counts, excluded = keypoint_hits(grounded, scene, taxonomy)
-    assert counts == {"wing": [1, 2], "head": [1, 1]}
+    sums, excluded = keypoint_sums(grounded, scene, taxonomy)
+    far = math.hypot(0.65 - 0.25, 0.65 - 0.25)
+    assert sums == {"wing": [1, 2, pytest.approx(far)],
+                    "head": [1, 1, pytest.approx(0.0)]}
     assert excluded == 0
 
     acc, excluded = keypoint_accuracy(grounded, scene, taxonomy)
@@ -78,9 +80,9 @@ def test_keypoint_unmappable_nouns_are_excluded(taxonomy):
         make_grounded(make_phrase(["red"], "bird"), (0.0, 0.0, 1.0, 1.0)),
         make_grounded(make_phrase(["red"], "wing"), (0.0, 0.0, 0.5, 0.5)),
     ]
-    counts, excluded = keypoint_hits(grounded, scene, taxonomy)
+    sums, excluded = keypoint_sums(grounded, scene, taxonomy)
     assert excluded == 1   # "bird" maps to body, which has no keypoint here
-    assert counts == {"wing": [1, 1]}
+    assert sums == {"wing": [1, 1, 0.0]}
 
 
 def test_keypoint_distance_means(taxonomy):
@@ -97,7 +99,8 @@ def test_keypoint_distance_means(taxonomy):
 
 def test_keypoint_distance_matches_scene_keypoints(tiny_dataset, taxonomy):
     scene = tiny_dataset.scenes_in_split("test")[0]
-    sentence = tiny_dataset.sentences_for_scene(scene.scene_id)[0]
+    sentence = [s for s in tiny_dataset.sentences
+                if s.scene_id == scene.scene_id][0]
     phrases = textproc.chunk_sentence(sentence.tokens, taxonomy)
     grounded = grounding.ground_all(phrases, scene, taxonomy,
                                     tiny_dataset.grounder)

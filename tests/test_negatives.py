@@ -10,9 +10,9 @@ from phrasecritic.negatives import (RankPair, _apply_edits,
                                     _enumerate_space, _flip_counts,
                                     _phrase_flips, _space_size,
                                     build_rank_pairs, contradicts_scene,
-                                    flip_phrase, ground_rank_pairs,
-                                    make_negatives, pairs_to_json)
-from phrasecritic.worldsim import GrounderConfig, Region, Scene, Taxonomy
+                                    ground_rank_pairs, make_negatives,
+                                    pairs_to_json)
+from phrasecritic.worldsim import GrounderConfig, Region, Scene
 
 from conftest import assert_same_groundings, load_schema
 
@@ -26,48 +26,6 @@ def first_gt_sentence(dataset, n_phrases=None):
         if n_phrases is None or len(phrases) == n_phrases:
             return sentence, splits[sentence.scene_id]
     raise AssertionError(f"no ground-truth sentence with {n_phrases} phrases")
-
-
-# -- flip_phrase --------------------------------------------------------------
-
-def test_flip_phrase_changes_exactly_one_slot(tiny_dataset, taxonomy):
-    sentence, _ = first_gt_sentence(tiny_dataset)
-    phrase = textproc.chunk_sentence(sentence.tokens, taxonomy)[0]
-    for seed in range(25):
-        flipped = flip_phrase(phrase, taxonomy, seed=seed)
-        changed_adj = [i for i, (a, b)
-                       in enumerate(zip(phrase.adjectives, flipped.adjectives))
-                       if a != b]
-        changed_noun = phrase.noun != flipped.noun
-        assert len(changed_adj) + int(changed_noun) == 1
-        if changed_noun:
-            assert flipped.noun in taxonomy.flip_pool(phrase.noun)
-        else:
-            i = changed_adj[0]
-            assert flipped.adjectives[i] in taxonomy.flip_pool(
-                phrase.adjectives[i])
-        # positions and span survive the edit untouched
-        assert flipped.span == phrase.span
-        assert flipped.adj_positions == phrase.adj_positions
-        assert flipped.noun_position == phrase.noun_position
-
-
-def test_flip_phrase_deterministic(tiny_dataset, taxonomy):
-    sentence, _ = first_gt_sentence(tiny_dataset)
-    phrase = textproc.chunk_sentence(sentence.tokens, taxonomy)[0]
-    a = flip_phrase(phrase, taxonomy, seed=7)
-    b = flip_phrase(phrase, taxonomy, seed=7)
-    assert a == b
-
-
-def test_flip_phrase_without_alternatives_raises():
-    lonely = Taxonomy(parts=("wing",),
-                      categories={"color": ("red",), "size": (),
-                                  "pattern": ()},
-                      kappa={"wing": 1.0}, aliases={})
-    phrase = textproc.chunk_sentence(["a", "red", "wing"], lonely)[0]
-    with pytest.raises(ValueError, match="alternatives"):
-        flip_phrase(phrase, lonely, seed=0)
 
 
 # -- make_negatives -----------------------------------------------------------
@@ -248,6 +206,8 @@ def test_wrong_attribute_contradicts(tiny_dataset, scene_by_id, taxonomy):
     assert contradicts_scene(tokens, scene, taxonomy)
     right = ["this", "bird", "has", "a", region.attrs["color"], region.part]
     assert not contradicts_scene(right, scene, taxonomy)
+    # a sentence without phrases claims nothing
+    assert not contradicts_scene(["this", "is"], scene, taxonomy)
 
 
 def test_missing_region_contradicts(tiny_dataset, taxonomy):

@@ -45,3 +45,9 @@ def test_write_svg(tmp_path, tiny_dataset):
     path = tmp_path / "scene.svg"
     write_svg(path, scene)
     assert path.read_text(encoding="utf-8") == scene_to_svg(scene)
+
+
+def test_every_taxonomy_colour_has_a_fill():
+    from phrasecritic.render import _PALETTE
+    from phrasecritic.worldsim import _TOKEN_POOLS
+    assert set(_TOKEN_POOLS["color"]) <= set(_PALETTE)

@@ -7,8 +7,11 @@
 # scenes, 2 foils per scene, plus any extra synth flags), rank training
 # with --pairs-out and --report-out, binary training (batch 16, hidden 16)
 # with --report-out, then rank, counterfactual, eval, eval --limit 5 and
-# foil. Every artifact is compared with cmp; the exit status is non-zero
-# if any command fails or any artifact differs.
+# foil. synth (every scene) and rank also write --emit-svg directories.
+# Every artifact is compared with cmp and each SVG directory with diff -r;
+# the exit status is non-zero if any command fails or any output differs.
+# Each checkout's line count (cat src/phrasecritic/*.py | wc -l) is
+# printed first.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -34,7 +37,8 @@ build() {
                python3 -m phrasecritic.cli "$@" > /dev/null; }
     local ds=$out/dataset.json serve=(--model "$out/critic.json")
     pc synth --out "$ds" --seed "$seed" --classes 6 --scenes-per-class 20 \
-        --foils-per-scene 2 "${synth_flags[@]}"
+        --foils-per-scene 2 --emit-svg "$out/synth_svg" --svg-limit 1000 \
+        "${synth_flags[@]}"
     pc train --dataset "$ds" --objective rank --out "$out/critic.json" \
         --seed "$seed" --pairs-out "$out/pairs.json" \
         --report-out "$out/train_report.json"
@@ -42,7 +46,7 @@ build() {
         --out "$out/foil_critic.json" --seed "$seed" --batch-size 16 \
         --hidden-dim 16 --report-out "$out/foil_train_report.json"
     pc rank --dataset "$ds" "${serve[@]}" --seed "$seed" \
-        --out "$out/ranked.json"
+        --out "$out/ranked.json" --emit-svg "$out/rank_svg"
     pc counterfactual --dataset "$ds" "${serve[@]}" --seed "$seed" \
         --out "$out/counterfactuals.json"
     pc eval --dataset "$ds" "${serve[@]}" --seed "$seed" \
@@ -53,6 +57,10 @@ build() {
         --out "$out/foil_report.json"
 }
 
+for checkout in "$old" "$new"; do
+    echo "lines   $(cat "$checkout"/src/phrasecritic/*.py | wc -l) $checkout"
+done
+
 build "$old" "$work/old"
 build "$new" "$work/new"
 
@@ -62,6 +70,14 @@ for name in $ARTIFACTS; do
         echo "same    $name.json"
     else
         echo "DIFFERS $name.json"
+        status=1
+    fi
+done
+for name in synth_svg rank_svg; do
+    if diff -rq "$work/old/$name" "$work/new/$name" > /dev/null; then
+        echo "same    $name/"
+    else
+        echo "DIFFERS $name/"
         status=1
     fi
 done
