@@ -64,14 +64,21 @@ def _load_model(path: str, objective: str) -> CriticModel:
     return model
 
 
+def _require_at_least(flag: str, value, low: int) -> None:
+    """Reject a count flag below low (exit 5); a slice or a pool would
+    otherwise take it silently."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _select_scenes(dataset: Dataset, args):
     """The --scene ids, or else the --split scenes, cut to --limit.
 
-    A negative --limit, an unknown scene id or an empty split raises
-    ValueError (exit 5).
+    A negative --limit, --candidates below 1, an unknown scene id or an
+    empty split raises ValueError (exit 5).
     """
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    _require_at_least("--limit", args.limit, 0)
+    _require_at_least("--candidates", args.candidates, 1)
     if getattr(args, "scene", None):
         by_id = {s.scene_id: s for s in dataset.scenes}
         missing = [i for i in args.scene if i not in by_id]
@@ -102,6 +109,7 @@ def _emit_scene_svgs(directory: str, items) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    _require_at_least("--svg-limit", args.svg_limit, 0)
     config = _from_args(WorldConfig, args)
     dataset = generate_dataset(config, args.seed)
     out = _resolve_out(args.out)
@@ -115,6 +123,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_at_least("--pair-sentences", args.pair_sentences, 1)
     dataset = _load_dataset(args.dataset)
     hyper = _from_args(CriticHyper, args)
     if args.objective == "rank":

@@ -40,11 +40,16 @@ class BigramLM:
     logp: np.ndarray = field(repr=False)
     contexts: dict[str, int] = field(repr=False)
     targets: dict[str, int] = field(repr=False)
+    # logp as Python float rows, so a lookup is two list indexings.
+    rows: list[list[float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rows = self.logp.tolist()
 
     def logprob(self, prev: str, nxt: str) -> float:
         i = self.contexts.get(prev, self.contexts[UNK])
         j = self.targets.get(nxt, self.targets[UNK])
-        return float(self.logp[i, j])
+        return self.rows[i][j]
 
 
 def fit_language_model(corpus, alpha: float = 0.1) -> BigramLM:
@@ -72,13 +77,14 @@ def fluency(tokens, lm: BigramLM) -> float:
 
     An empty sentence scores log P(END | START). Always <= 0.
     """
+    rows, contexts, targets = lm.rows, lm.contexts, lm.targets
+    unk_context, unk_target = contexts[UNK], targets[UNK]
     score = 0.0
-    prev = START
+    row = rows[contexts[START]]
     for tok in tokens:
-        score += lm.logprob(prev, tok)
-        prev = tok
-    score += lm.logprob(prev, END)
-    return score
+        score += row[targets.get(tok, unk_target)]
+        row = rows[contexts.get(tok, unk_context)]
+    return score + row[targets[END]]
 
 
 @dataclass
@@ -102,34 +108,51 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
     Attributes default to the scene's true region attribute; with
     probability error_rate each mention is drawn from the class profile
     instead, yielding class-plausible but image-irrelevant mentions (when
-    render noise made the scene deviate from its profile).
+    render noise made the scene deviate from its profile). Each candidate's
+    phrases are the ones its frame placed, which are what chunk_sentence
+    finds in its tokens when every attribute is a taxonomy token (as
+    Dataset.from_json ensures).
     """
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate {error_rate} outside [0, 1]")
     rng = np.random.default_rng(seed)
+    attrs = {}  # the first region of a part wins, as in Scene.region_for
+    for region in scene.regions:
+        attrs.setdefault(region.part, region.attrs)
     candidates = []
     for _ in range(n):
         frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)
         bird_color = None
         if uses_bird:
-            true = scene.region_for("body").attrs["color"]
+            true = attrs["body"]["color"]
             prior = profile.attributes["body"]["color"]
             bird_color = prior if rng.random() < error_rate else true
         picks = []
         for part in worldsim._pick_parts(taxonomy, rng, n_parts):
             category = worldsim._pick_category(rng)
-            true = scene.region_for(part).attrs[category]
+            true = attrs[part][category]
             prior = profile.attributes[part][category]
             attr = prior if rng.random() < error_rate else true
             picks.append((attr, part))
-        tokens = worldsim.compose_frame(frame_id, bird_color, picks)
+        tokens, slots = worldsim.compose_frame(frame_id, bird_color, picks)
         candidates.append(Candidate(
             tokens=tokens,
             fluency=fluency(tokens, lm),
-            phrases=textproc.chunk_sentence(tokens, taxonomy),
+            phrases=placed_phrases(tokens, slots, taxonomy),
             class_id=profile.class_id,
         ))
     return candidates
+
+
+def placed_phrases(tokens, slots, taxonomy: Taxonomy):
+    """The one-adjective phrases at compose_frame's (adjective, noun)
+    positions, with categories from the taxonomy lexicon."""
+    lexicon = taxonomy.lexicon
+    return [textproc.AttributePhrase(
+        adjectives=(tokens[a],), noun=tokens[p],
+        span=(min(a, p), max(a, p) + 1),
+        categories=(lexicon[tokens[a]][1],),
+        adj_positions=(a,), noun_position=p) for a, p in slots]
 
 
 def fit_class_lms(dataset: Dataset, alpha: float = 0.1,

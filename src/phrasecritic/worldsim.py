@@ -8,6 +8,7 @@ alone yields the same scene as generating all of them in order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -363,22 +364,41 @@ class Dataset:
 
     def _check_references(self) -> None:
         """Reject records that refer to a class, part, scene or token the
-        dataset does not hold, naming the first such record."""
+        dataset does not hold, and scenes or profiles that leave a part or
+        an attribute category out, naming the first such record."""
+        parts = self.taxonomy.parts
+        tokens = {cat: set(self.taxonomy.categories.get(cat, ()))
+                  for cat in ATTRIBUTE_CATEGORIES}
         for i, profile in enumerate(self.profiles):
             if profile.class_id != i:
                 raise ConfigurationError(
                     f"dataset profile {i} has class_id {profile.class_id}; "
                     f"profiles must be listed in class-id order")
+            for part in parts:
+                if part not in profile.attributes:
+                    raise ConfigurationError(
+                        f"dataset profile {i} has no attributes for {part!r}")
+                _check_attributes(f"dataset profile {i} part {part!r}",
+                                  profile.attributes[part], tokens)
         for scene in self.scenes:
             if not 0 <= scene.class_id < len(self.profiles):
                 raise ConfigurationError(
                     f"dataset scene {scene.scene_id} has class "
                     f"{scene.class_id}, which has no profile")
             for region in scene.regions:
-                if region.part not in self.taxonomy.parts:
+                if region.part not in parts:
                     raise ConfigurationError(
                         f"dataset scene {scene.scene_id} has a region for "
                         f"{region.part!r}, which is not a taxonomy part")
+                _check_attributes(
+                    f"dataset scene {scene.scene_id} region {region.part!r}",
+                    region.attrs, tokens)
+            present = {region.part for region in scene.regions}
+            for part in parts:
+                if part not in present:
+                    raise ConfigurationError(
+                        f"dataset scene {scene.scene_id} has no region for "
+                        f"{part!r}")
         scene_ids = {scene.scene_id for scene in self.scenes}
         for i, sentence in enumerate(self.sentences):
             if sentence.scene_id not in scene_ids:
@@ -398,6 +418,17 @@ class Dataset:
     @classmethod
     def load(cls, path) -> "Dataset":
         return cls.from_json(read_json(path))
+
+
+def _check_attributes(record: str, attrs, tokens) -> None:
+    """Every attribute category must hold one of the taxonomy's tokens."""
+    for cat, allowed in tokens.items():
+        if cat not in attrs:
+            raise ConfigurationError(f"{record} has no {cat!r} attribute")
+        if attrs[cat] not in allowed:
+            raise ConfigurationError(
+                f"{record} has {cat} {attrs[cat]!r}, which is not a "
+                f"taxonomy {cat} token")
 
 
 def build_taxonomy(config: WorldConfig, seed: int) -> Taxonomy:
@@ -506,29 +537,41 @@ _CATEGORY_WEIGHTS = {"color": 0.6, "size": 0.2, "pattern": 0.2}
 
 
 def compose_frame(frame_id: int, bird_color: str | None,
-                  part_picks: list[tuple[str, str]]) -> list[str]:
-    """Assemble the token list for a frame from its attribute picks."""
+                  part_picks: list[tuple[str, str]]
+                  ) -> tuple[list[str], list[tuple[int, int]]]:
+    """Assemble the token list for a frame from its attribute picks.
+
+    Also returns the (adjective, noun) positions of the attribute phrases
+    the frame placed, in sentence order: the phrases the chunker finds in
+    the tokens whenever every attribute is an adjective of the lexicon.
+    """
     if frame_id in (0, 1, 2):
         tokens = ["this", "is", "a", bird_color, "bird"]
+        slots = [(3, 4)]
         glue = "with"
         for attr, part in part_picks:
+            slots.append((len(tokens) + 2, len(tokens) + 3))
             tokens += [glue, "a", attr, part]
             glue = "and"
-        return tokens
+        return tokens, slots
     if frame_id in (3, 5):
         tokens = ["this", "bird", "has"]
-        glue = None
+        slots = []
         for attr, part in part_picks:
-            tokens += ([glue] if glue else []) + ["a", attr, part]
-            glue = "and"
-        return tokens
+            if slots:
+                tokens.append("and")
+            slots.append((len(tokens) + 1, len(tokens) + 2))
+            tokens += ["a", attr, part]
+        return tokens, slots
     if frame_id == 4:
         tokens = []
+        slots = []
         for attr, part in part_picks:
             if tokens:
                 tokens.append("and")
+            slots.append((len(tokens) + 3, len(tokens) + 1))
             tokens += ["the", part, "is", attr]
-        return tokens
+        return tokens, slots
     raise ValueError(f"unknown frame {frame_id}")
 
 
@@ -542,10 +585,23 @@ def _pick_parts(taxonomy, rng, count):
     return [pool[i] for i in sorted(int(i) for i in idx)]
 
 
+def _choice_cdf(weights) -> list[float]:
+    """The CDF Generator.choice(p=weights / sum) draws from, built the way
+    choice builds it, so that one rng.random() bisected into it (as
+    searchsorted side="right") replays choice's pick and leaves the stream
+    in the same state."""
+    p = np.asarray(weights, dtype=float)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_CATEGORIES = tuple(_CATEGORY_WEIGHTS)
+_CATEGORY_CDF = _choice_cdf([_CATEGORY_WEIGHTS[c] for c in _CATEGORIES])
+
+
 def _pick_category(rng) -> str:
-    cats = list(_CATEGORY_WEIGHTS)
-    probs = np.array([_CATEGORY_WEIGHTS[c] for c in cats])
-    return cats[int(rng.choice(len(cats), p=probs / probs.sum()))]
+    return _CATEGORIES[bisect_right(_CATEGORY_CDF, rng.random())]
 
 
 def ground_truth_sentence(scene: Scene, taxonomy: Taxonomy, seed) -> Sentence:
@@ -559,8 +615,8 @@ def ground_truth_sentence(scene: Scene, taxonomy: Taxonomy, seed) -> Sentence:
     for part in _pick_parts(taxonomy, rng, n_parts):
         category = _pick_category(rng)
         picks.append((scene.region_for(part).attrs[category], part))
-    return Sentence(scene.scene_id,
-                    compose_frame(frame_id, bird_color, picks))
+    tokens, _ = compose_frame(frame_id, bird_color, picks)
+    return Sentence(scene.scene_id, tokens)
 
 
 def make_foil_sentence(sentence: Sentence, taxonomy: Taxonomy, seed) -> Sentence:

@@ -420,12 +420,45 @@ def _reversed_profiles(payload):
     payload["profiles"].reverse()
 
 
+def _wing_region(payload):
+    return next(r for r in payload["scenes"][0]["regions"]
+                if r["part"] == "wing")
+
+
+def _missing_region(payload):
+    payload["scenes"][0]["regions"].remove(_wing_region(payload))
+
+
+def _region_without_category(payload):
+    del _wing_region(payload)["attrs"]["pattern"]
+
+
+def _unknown_region_token(payload):
+    _wing_region(payload)["attrs"]["color"] = "purple"
+
+
+def _profile_without_part(payload):
+    del payload["profiles"][1]["attributes"]["wing"]
+
+
+def _profile_without_category(payload):
+    del payload["profiles"][1]["attributes"]["wing"]["pattern"]
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_orphan_sentence, "sentence 0 names scene 99999"),
     (_unknown_class, "scene 0 has class 50"),
     (_unknown_part, "scene 0 has a region for 'tail'"),
     (_foil_out_of_range, "foil index 99"),
     (_reversed_profiles, "profile 0 has class_id 2"),
+    (_missing_region, "scene 0 has no region for 'wing'"),
+    (_region_without_category,
+     "scene 0 region 'wing' has no 'pattern' attribute"),
+    (_unknown_region_token, "scene 0 region 'wing' has color 'purple', "
+                            "which is not a taxonomy color token"),
+    (_profile_without_part, "profile 1 has no attributes for 'wing'"),
+    (_profile_without_category,
+     "profile 1 part 'wing' has no 'pattern' attribute"),
 ])
 def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
                                     expected):
@@ -448,6 +481,8 @@ def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
 @pytest.mark.parametrize("flag, value, expected", [
     ("--limit", "-2", "--limit must be >= 0, got -2"),
     ("--split", "nosuch", "no scenes in split 'nosuch'"),
+    ("--candidates", "0", "--candidates must be >= 1, got 0"),
+    ("--candidates", "-3", "--candidates must be >= 1, got -3"),
 ])
 def test_bad_selection_exits_5(workspace, tmp_path, capsys, command, flag,
                                value, expected):
@@ -457,3 +492,25 @@ def test_bad_selection_exits_5(workspace, tmp_path, capsys, command, flag,
     assert code == EXIT_BAD_CONFIG
     assert stderr_record(err)["message"] == expected
     assert not (tmp_path / "x.json").exists()
+
+
+def test_negative_svg_limit_exits_5(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "ds.json"),
+                       "--emit-svg", str(tmp_path / "svg"),
+                       "--svg-limit", "-1", *SYNTH_FLAGS)
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == "--svg-limit must be >= 0, got -1"
+    assert not (tmp_path / "ds.json").exists()
+    assert not (tmp_path / "svg").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_pair_sentences_below_one_exits_5(workspace, tmp_path, capsys,
+                                          value):
+    code, _, err = run(capsys, "train", "--dataset", workspace["ds"],
+                       "--out", str(tmp_path / "m.json"),
+                       "--pair-sentences", value)
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == \
+        f"--pair-sentences must be >= 1, got {value}"
+    assert not (tmp_path / "m.json").exists()

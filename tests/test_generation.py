@@ -1,13 +1,14 @@
 """Bigram model and candidate generator tests with hand-built oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from phrasecritic import (fit_class_lms, fit_language_model, fluency,
-                          sample_candidates)
-from phrasecritic.generation import END, START, UNK
+from phrasecritic import (chunk_sentence, fit_class_lms, fit_language_model,
+                          fluency, sample_candidates, worldsim)
+from phrasecritic.generation import END, START, UNK, placed_phrases
 from phrasecritic.metrics import phrase_correct
 
 CORPUS = [["a", "b"], ["a", "b", "b"], ["b", "a"]]
@@ -136,3 +137,85 @@ def test_candidate_phrases_match_their_tokens(tiny_dataset):
             fluency(cand.tokens, lms[scene.class_id]))
         for phrase in cand.phrases:
             assert cand.tokens[phrase.noun_position] == phrase.noun
+
+
+def reference_fluency(tokens, lm):
+    """Fluency as a plain left-to-right sum of the logp entries."""
+    score = 0.0
+    prev = START
+    for tok in list(tokens) + [END]:
+        i = lm.contexts.get(prev, lm.contexts[UNK])
+        j = lm.targets.get(tok, lm.targets[UNK])
+        score += float(lm.logp[i, j])
+        prev = tok
+    return score
+
+
+@pytest.mark.parametrize("frame_id", range(len(worldsim._FRAMES)))
+def test_placed_phrases_equal_the_chunker(taxonomy, frame_id):
+    """Every frame, part count (0-3), part choice and per-slot category:
+    the phrases compose_frame placed are the ones chunking finds."""
+    pool = [p for p in taxonomy.parts if p != "body"]
+    colors = taxonomy.categories["color"]
+    checked = 0
+    for count in range(4):
+        for parts in itertools.combinations(pool, count):
+            for cats in itertools.product(worldsim.ATTRIBUTE_CATEGORIES,
+                                          repeat=count):
+                checked += 1
+                picks = [(taxonomy.categories[cat][
+                              (checked + k) % len(taxonomy.categories[cat])],
+                          part) for k, (cat, part) in enumerate(zip(cats,
+                                                                    parts))]
+                tokens, slots = worldsim.compose_frame(
+                    frame_id, colors[checked % len(colors)], picks)
+                assert placed_phrases(tokens, slots, taxonomy) == \
+                    chunk_sentence(tokens, taxonomy), tokens
+    assert checked == 1 + 7 * 3 + 21 * 9 + 35 * 27
+
+
+def reference_pool(scene, profile, taxonomy, lm, n, error_rate, seed):
+    """The sampler spelled out with rng.choice(p=...) category picks,
+    Scene.region_for lookups, chunk_sentence and reference_fluency."""
+    rng = np.random.default_rng(seed)
+    cats = list(worldsim._CATEGORY_WEIGHTS)
+    p = np.array([worldsim._CATEGORY_WEIGHTS[c] for c in cats])
+    pool = []
+    for _ in range(n):
+        frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)
+        bird_color = None
+        if uses_bird:
+            true = scene.region_for("body").attrs["color"]
+            prior = profile.attributes["body"]["color"]
+            bird_color = prior if rng.random() < error_rate else true
+        picks = []
+        for part in worldsim._pick_parts(taxonomy, rng, n_parts):
+            category = cats[int(rng.choice(len(cats), p=p / p.sum()))]
+            true = scene.region_for(part).attrs[category]
+            prior = profile.attributes[part][category]
+            picks.append((prior if rng.random() < error_rate else true, part))
+        tokens, _ = worldsim.compose_frame(frame_id, bird_color, picks)
+        pool.append((tokens, reference_fluency(tokens, lm),
+                     chunk_sentence(tokens, taxonomy), profile.class_id))
+    return pool
+
+
+@pytest.mark.parametrize("error_rate", [0.0, 0.3, 1.0])
+def test_pool_equals_the_reference_sampler(tiny_dataset, error_rate):
+    """Same tokens, chunk_sentence's phrases and the left-to-right logp sum
+    as fluency, bit for bit, on 100-candidate pools."""
+    lms = fit_class_lms(tiny_dataset)
+    taxonomy = tiny_dataset.taxonomy
+    for scene in tiny_dataset.scenes[::4]:
+        lm = lms[scene.class_id]
+        profile = tiny_dataset.profile_for(scene.class_id)
+        pool = sample_candidates(scene, profile, taxonomy, lm, n=100,
+                                 error_rate=error_rate,
+                                 seed=[5, scene.scene_id])
+        assert [(c.tokens, c.fluency, c.phrases, c.class_id)
+                for c in pool] == reference_pool(
+            scene, profile, taxonomy, lm, 100, error_rate,
+            [5, scene.scene_id])
+        for cand in pool:
+            foreign = ["zzz"] + cand.tokens[::-1]
+            assert fluency(foreign, lm) == reference_fluency(foreign, lm)

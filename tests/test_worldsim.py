@@ -1,5 +1,6 @@
 """World generation tests: distributions, determinism, serialisation."""
 
+import numpy as np
 import pytest
 
 from phrasecritic import (ConfigurationError, Dataset, GenerationError,
@@ -7,8 +8,9 @@ from phrasecritic import (ConfigurationError, Dataset, GenerationError,
                           generate_dataset)
 from phrasecritic.jsonio import dumps_canonical
 from phrasecritic.negatives import contradicts_scene
-from phrasecritic.worldsim import (ATTRIBUTE_CATEGORIES, PARTS, _split_counts,
-                                   build_taxonomy, ground_truth_sentence,
+from phrasecritic.worldsim import (ATTRIBUTE_CATEGORIES, PARTS,
+                                   _CATEGORY_WEIGHTS, _pick_category,
+                                   _split_counts, build_taxonomy, ground_truth_sentence,
                                    make_foil_sentence, render_scene,
                                    sample_class_profiles)
 from conftest import TINY as CFG, load_schema
@@ -215,6 +217,28 @@ def test_ground_truth_sentence_deterministic(tiny_dataset):
     a = ground_truth_sentence(scene, tiny_dataset.taxonomy, [42])
     b = ground_truth_sentence(scene, tiny_dataset.taxonomy, [42])
     assert a.tokens == b.tokens
+
+
+def test_pick_category_replays_generator_choice():
+    """_pick_category picks what rng.choice(p=...) picks and leaves the
+    stream where choice leaves it, with other draws in between as the
+    samplers make them; a numpy release that changes choice fails here."""
+    cats = list(_CATEGORY_WEIGHTS)
+    p = np.array([_CATEGORY_WEIGHTS[c] for c in cats])
+    ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+    picked, expected = [], []
+    for i in range(200_000):
+        picked.append(_pick_category(ours))
+        expected.append(cats[int(reference.choice(len(cats), p=p / p.sum()))])
+        if i % 3 == 0:
+            picked.append(ours.integers(7))
+            expected.append(reference.integers(7))
+        if i % 5 == 0:
+            picked.append(ours.random())
+            expected.append(reference.random())
+    assert picked == expected
+    assert set(picked[:1000]) >= set(cats)
+    assert ours.bit_generator.state == reference.bit_generator.state
 
 
 # -- splits ------------------------------------------------------------------

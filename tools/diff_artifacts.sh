@@ -6,8 +6,10 @@
 # With each checkout's src/ on PYTHONPATH, runs synth (6 classes x 20
 # scenes, 2 foils per scene, plus any extra synth flags), rank training
 # with --pairs-out and --report-out, binary training (batch 16, hidden 16)
-# with --report-out, then rank, counterfactual, eval, eval --limit 5 and
-# foil. synth (every scene) and rank also write --emit-svg directories.
+# with --report-out, then rank, rank --error-rate 0, rank --error-rate 1
+# --candidates 30 (every mention from the scene, then from the class
+# prior), counterfactual, eval, eval --limit 5 and foil. synth (every
+# scene) and rank also write --emit-svg directories.
 # Every artifact is compared with cmp and each SVG directory with diff -r;
 # the exit status is non-zero if any command fails or any output differs.
 # Each checkout's line count (cat src/phrasecritic/*.py | wc -l) is
@@ -28,7 +30,8 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/diff_artifacts.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
 ARTIFACTS="dataset pairs critic train_report foil_critic foil_train_report
-ranked counterfactuals metrics metrics_limit5 foil_report"
+ranked ranked_err0 ranked_err1 counterfactuals metrics metrics_limit5
+foil_report"
 
 build() {
     local src=$1/src out=$2
@@ -47,6 +50,10 @@ build() {
         --hidden-dim 16 --report-out "$out/foil_train_report.json"
     pc rank --dataset "$ds" "${serve[@]}" --seed "$seed" \
         --out "$out/ranked.json" --emit-svg "$out/rank_svg"
+    pc rank --dataset "$ds" "${serve[@]}" --seed "$seed" --error-rate 0 \
+        --out "$out/ranked_err0.json"
+    pc rank --dataset "$ds" "${serve[@]}" --seed "$seed" --error-rate 1 \
+        --candidates 30 --out "$out/ranked_err1.json"
     pc counterfactual --dataset "$ds" "${serve[@]}" --seed "$seed" \
         --out "$out/counterfactuals.json"
     pc eval --dataset "$ds" "${serve[@]}" --seed "$seed" \
