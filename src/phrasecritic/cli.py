@@ -124,6 +124,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     _require_at_least("--pair-sentences", args.pair_sentences, 1)
+    _require_at_least("--pairs-per-scene", args.pairs_per_scene, 1)
     dataset = _load_dataset(args.dataset)
     hyper = _from_args(CriticHyper, args)
     if args.objective == "rank":

@@ -17,7 +17,9 @@ lengths is left-padded into one tensor and runs as a handful of matrix
 products per step; padded steps are masked so that they keep the state at
 zero. Both objectives share one forward, one backward and one
 loss-and-gradient function; the rank objective stacks each batch's
-positives over their negatives in a single forward.
+positives over their negatives in a single forward. All parameters live in
+one flat vector (``params`` holds named views into it), so a training step
+is one momentum update over that vector.
 """
 
 from __future__ import annotations
@@ -84,7 +86,10 @@ class CriticModel:
         self.feature_dim = int(feature_dim)
         self.hyper = hyper or CriticHyper()
         self.objective = objective
-        self.params = self._init_params(seed)
+        params = self._init_params(seed)
+        self._shapes = {name: params[name].shape for name in _PARAM_NAMES}
+        self.flat = np.concatenate([params[k].ravel() for k in _PARAM_NAMES])
+        self.params = self.views(self.flat)
 
     @classmethod
     def for_taxonomy(cls, taxonomy, hyper=None, seed: int = 0,
@@ -126,19 +131,20 @@ class CriticModel:
         params["b_g"][h.hidden_dim:2 * h.hidden_dim] = 1.0
         return params
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a vector laid out like the parameter vector."""
+        views, offset = {}, 0
+        for name, shape in self._shapes.items():
+            size = int(np.prod(shape))
+            views[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        return views
 
     def flatten_params(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in _PARAM_NAMES])
+        return self.flat.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for name in _PARAM_NAMES:
-            size = self.params[name].size
-            self.params[name] = flat[offset:offset + size] \
-                .reshape(self.params[name].shape).copy()
-            offset += size
+        self.flat[...] = flat
 
     # -- forward ------------------------------------------------------------
 
@@ -251,13 +257,13 @@ def _forward(model: CriticModel, packed: PackedSequences, want_cache=False):
     return scores, cache
 
 
-def _backward(model: CriticModel, cache, d_scores) -> dict[str, np.ndarray]:
-    """Parameter gradients of sum(d_scores * scores) through _forward."""
+def _backward(model: CriticModel, cache, d_scores, grads) -> None:
+    """Add the parameter gradients of sum(d_scores * scores) through
+    _forward into grads, named views of a zeroed vector."""
     params, hyper = model.params, model.hyper
     ids, wts, real, padded, u, x, steps, h_final, m = cache
     hd, de = hyper.hidden_dim, hyper.embed_dim
     n, t = real.shape
-    grads = model.zero_grads()
 
     grads["w_2"] += m.T @ d_scores
     grads["b_2"] += d_scores.sum(keepdims=True)
@@ -295,12 +301,11 @@ def _backward(model: CriticModel, cache, d_scores) -> dict[str, np.ndarray]:
     dmean = (dx @ params["w_in"].T)[:, :, :de]
     contrib = wts[..., None] * dmean[:, :, None, :]
     np.add.at(grads["emb"], ids.reshape(-1), contrib.reshape(-1, de))
-    return grads
 
 
 def _loss_and_grads(model: CriticModel, packed: PackedSequences, kind: str,
-                    labels=None):
-    """Mean loss and gradients of one packed batch.
+                    grads, labels=None) -> float:
+    """Mean loss of one packed batch; its gradients are added into grads.
 
     For kind "rank" the first half of the rows are positives and the second
     half their negatives, in the same order; for "binary" ``labels`` holds
@@ -318,7 +323,8 @@ def _loss_and_grads(model: CriticModel, packed: PackedSequences, kind: str,
         loss = float(np.mean(np.logaddexp(
             0.0, np.where(labels > 0.5, -scores, scores))))
         d_scores = (_sigmoid(scores) - labels) / len(scores)
-    return loss, _backward(model, cache, d_scores)
+    _backward(model, cache, d_scores, grads)
+    return loss
 
 
 def _pack_pairs(pairs, model: CriticModel) -> PackedSequences:
@@ -337,14 +343,18 @@ def gradients(model: CriticModel, batch, kind: str = "rank"):
     """Mean loss and parameter gradients for a batch.
 
     For kind "rank" the batch is (positive sequence, negative sequence)
-    pairs; for "binary" it is (sequence, boolean label) examples.
+    pairs; for "binary" it is (sequence, boolean label) examples. The
+    gradients are named views of one vector laid out like model.flat.
     """
+    grads = model.views(np.zeros_like(model.flat))
     if kind == "rank":
-        return _loss_and_grads(model, _pack_pairs(batch, model), kind)
-    if kind == "binary":
+        loss = _loss_and_grads(model, _pack_pairs(batch, model), kind, grads)
+    elif kind == "binary":
         packed = pack_sequences([s for s, _ in batch], model)
-        return _loss_and_grads(model, packed, kind, _labels(batch))
-    raise ValueError(f"unknown loss kind {kind!r}")
+        loss = _loss_and_grads(model, packed, kind, grads, _labels(batch))
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return loss, grads
 
 
 def _check_finite(values):
@@ -383,7 +393,9 @@ def _run_training(model: CriticModel, forward_loss, n_examples: int,
             f"no training examples for the {model.objective} objective")
     hyper = model.hyper
     rng = np.random.default_rng([seed, 1])
-    velocity = model.zero_grads()
+    grad = np.zeros_like(model.flat)
+    grads = model.views(grad)
+    velocity = np.zeros_like(model.flat)
     losses = []
     metrics = []
     start = time.monotonic()
@@ -392,16 +404,18 @@ def _run_training(model: CriticModel, forward_loss, n_examples: int,
         total = 0.0
         for lo in range(0, n_examples, hyper.batch_size):
             rows = order[lo:lo + hyper.batch_size]
-            loss, grads = forward_loss(rows)
+            grad.fill(0.0)
+            loss = forward_loss(rows, grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss diverged at epoch {epoch}",
                     report=TrainReport(model.objective, epoch, losses,
                                        metrics, time.monotonic() - start))
             total += loss * len(rows)
-            for name, grad in grads.items():
-                velocity[name] = hyper.momentum * velocity[name] + grad
-                model.params[name] -= hyper.lr * velocity[name]
+            # element for element the same operations as a per-name update
+            velocity *= hyper.momentum
+            velocity += grad
+            model.flat -= hyper.lr * velocity
         losses.append(total / n_examples)
         if val_metric is not None:
             metrics.append(val_metric())
@@ -421,9 +435,9 @@ def train_ranker(model: CriticModel, train_pairs, val_pairs=None,
         val = (pack_sequences([p for p, _ in val_pairs], model),
                pack_sequences([q for _, q in val_pairs], model))
 
-    def forward_loss(rows):
+    def forward_loss(rows, grads):
         both = packed.take(np.concatenate([rows, rows + n]))
-        return _loss_and_grads(model, both, "rank")
+        return _loss_and_grads(model, both, "rank", grads)
 
     def val_metric():
         # one forward per side: a stacked one would hold both in memory
@@ -446,8 +460,8 @@ def train_classifier(model: CriticModel, train_examples, val_examples=None,
         val = (pack_sequences([s for s, _ in val_examples], model),
                _labels(val_examples))
 
-    def forward_loss(rows):
-        return _loss_and_grads(model, packed.take(rows), "binary",
+    def forward_loss(rows, grads):
+        return _loss_and_grads(model, packed.take(rows), "binary", grads,
                                labels[rows])
 
     def val_metric():
@@ -510,7 +524,7 @@ def load_checkpoint(path) -> CriticModel:
                 raise CheckpointError(
                     f"parameter {name} has shape {arr.shape}, "
                     f"expected {model.params[name].shape}")
-            model.params[name] = arr
+            model.params[name][...] = arr
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -103,6 +103,13 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
                     if c.fluency > threshold and c.phrases]
     if survivor_idx:
         scores = model.score_many([groundings[i] for i in survivor_idx])
+        # BLAS may score identical rows of one batch a bit apart: give each
+        # survivor the score of the first survivor with its tokens.
+        first = {}
+        for pos, i in enumerate(survivor_idx):
+            first.setdefault(tuple(candidates[i].tokens), pos)
+        scores = scores[[first[tuple(candidates[i].tokens)]
+                         for i in survivor_idx]]
         best_pos = int(np.argmax(scores))
         best = survivor_idx[best_pos]
         relevance = float(scores[best_pos])

@@ -7,8 +7,12 @@ score most (smallest index on ties). Correction substitutes each target
 word at the foiled position and keeps the best-scoring one (lexicographic
 ties).
 
-The evaluation grounds through one SceneGrounder per scene: each sentence
-variant is chunked and grounded once and shared by both scorers.
+Both scorers take a list of sentence variants. The evaluation builds each
+example's list once (the sentence, then for a foil its hold-one-out
+variants and its sorted substitutions) and grounds it through one
+SceneGrounder per scene, so each variant is chunked and grounded once and
+shared by both scorers. The critic scores the list in one score_many call,
+one row per distinct token sequence, so coinciding variants tie exactly.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ def classify(tokens, scene: Scene, model: CriticModel, taxonomy: Taxonomy,
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
     if not grounder.ground_tokens(tokens):
         return ClassifyResult(0.0, False, zero_phrases=True)
-    prob = _critic_scorer(model, grounder)(tokens)
+    [prob] = _critic_scorer(model, grounder)([tokens])
     return ClassifyResult(prob, prob > 0.5)
 
 
@@ -143,54 +147,64 @@ def content_word_indices(tokens, taxonomy: Taxonomy) -> list[int]:
 
 
 def _critic_scorer(model, grounder):
-    """sigmoid(S_r) of a token sequence; 0 when it has no phrases."""
-    def score(tokens) -> float:
-        seq = grounder.ground_tokens(tokens)
-        if not seq:
-            return 0.0
-        return float(_sigmoid(np.array(model.score(seq))))
+    """sigmoid(S_r) of each token sequence in a list; 0 without phrases.
+
+    The distinct sequences with phrases go through one score_many call, so
+    identical sequences share one score.
+    """
+    def score(variants) -> list[float]:
+        keys = [tuple(tokens) for tokens in variants]
+        seqs = {k: grounder.ground_tokens(k) for k in keys}
+        scorable = [k for k, seq in seqs.items() if seq]
+        probs = {}
+        if scorable:
+            scores = model.score_many([seqs[k] for k in scorable])
+            probs = dict(zip(scorable, _sigmoid(scores).tolist()))
+        return [probs.get(k, 0.0) for k in keys]
     return score
 
 
 def _baseline_scorer(grounder):
-    """Mean raw grounding score of a token sequence; -inf without phrases."""
-    def score(tokens) -> float:
-        return grounding.mean_grounding_score(grounder.ground_tokens(tokens))
+    """Mean raw grounding score of each token sequence in a list; -inf
+    without phrases."""
+    def score(variants) -> list[float]:
+        return [grounding.mean_grounding_score(grounder.ground_tokens(tokens))
+                for tokens in variants]
     return score
 
 
-def _holdout_detect(tokens, taxonomy, score_fn) -> int:
+def _holdout_variants(tokens, taxonomy) -> tuple[list[int], list[list[str]]]:
+    """The content-word indices and the sentence without each of them."""
     candidates = content_word_indices(tokens, taxonomy)
     if not candidates:
         raise ValueError("sentence has no content words")
-    scores = []
-    for idx in candidates:
-        held_out = list(tokens[:idx]) + list(tokens[idx + 1:])
-        scores.append(score_fn(held_out))
-    best = int(np.argmax(scores))  # argmax takes the first maximum
-    return candidates[best]
+    return candidates, [list(tokens[:i]) + list(tokens[i + 1:])
+                        for i in candidates]
+
+
+def _substitution_variants(tokens, foil_index,
+                           targets) -> tuple[list[str], list[list[str]]]:
+    """The targets in lexicographic order and the sentence with each one at
+    foil_index."""
+    if not targets:
+        raise ValueError("empty correction target set")
+    ordered = sorted(targets)
+    return ordered, [list(tokens[:foil_index]) + [target]
+                     + list(tokens[foil_index + 1:]) for target in ordered]
+
+
+def _first_max(options, scores):
+    """The option whose variant scores highest; np.argmax takes the first
+    maximum, so ties go to the smallest index or the first target."""
+    return options[int(np.argmax(scores))]
 
 
 def detect_foil_word(tokens, scene: Scene, model: CriticModel,
                      taxonomy: Taxonomy, config) -> int:
     """Index of the content word whose removal most raises the score."""
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    return _holdout_detect(tokens, taxonomy, _critic_scorer(model, grounder))
-
-
-def _substitution_correct(tokens, foil_index, targets, score_fn) -> str:
-    if not targets:
-        raise ValueError("empty correction target set")
-    best_token = None
-    best_score = None
-    for target in sorted(targets):  # lexicographic tie-break
-        substituted = list(tokens)
-        substituted[foil_index] = target
-        s = score_fn(substituted)
-        if best_score is None or s > best_score:
-            best_score = s
-            best_token = target
-    return best_token
+    candidates, variants = _holdout_variants(tokens, taxonomy)
+    return _first_max(candidates, _critic_scorer(model, grounder)(variants))
 
 
 def correct_foil_word(tokens, foil_index: int, scene: Scene,
@@ -204,15 +218,16 @@ def correct_foil_word(tokens, foil_index: int, scene: Scene,
     if targets is None:
         targets = taxonomy.flip_pool(tokens[foil_index])
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    return _substitution_correct(tokens, foil_index, targets,
-                                 _critic_scorer(model, grounder))
+    ordered, variants = _substitution_variants(tokens, foil_index, targets)
+    return _first_max(ordered, _critic_scorer(model, grounder)(variants))
 
 
 def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
                       config) -> bool:
     """Mean grounding score thresholded at tau; no phrases means foil."""
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    return _baseline_scorer(grounder)(tokens) > tau
+    [mean] = _baseline_scorer(grounder)([tokens])
+    return mean > tau
 
 
 def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
@@ -252,31 +267,36 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
                        taxonomy, config)
 
     # The decisions of classify, baseline_classify, detect_foil_word and
-    # correct_foil_word, with both scorers sharing one grounder per scene.
+    # correct_foil_word. Each example's variants (the sentence, then for a
+    # foil its hold-outs and substitutions) are scored in one critic call.
     grounders = grounding.scene_grounders(scenes, taxonomy, config)
     cls_hits = base_cls_hits = 0
     det_hits = base_det_hits = 0
     cor_hits = base_cor_hits = 0
     foils = 0
     for ex in examples:
+        variants = [ex.tokens]
+        if not ex.label:
+            candidates, held_out = _holdout_variants(ex.tokens, taxonomy)
+            targets, substituted = _substitution_variants(
+                ex.tokens, ex.foil_index,
+                taxonomy.flip_pool(ex.tokens[ex.foil_index]))
+            variants += held_out + substituted
         grounder = grounders[ex.scene_id]
-        critic = _critic_scorer(model, grounder)
-        baseline = _baseline_scorer(grounder)
-        cls_hits += (critic(ex.tokens) > 0.5) == ex.label
-        base_cls_hits += (baseline(ex.tokens) > tau) == ex.label
+        critic = _critic_scorer(model, grounder)(variants)
+        baseline = _baseline_scorer(grounder)(variants)
+        cls_hits += (critic[0] > 0.5) == ex.label
+        base_cls_hits += (baseline[0] > tau) == ex.label
         if ex.label:
             continue
         foils += 1
-        det_hits += _holdout_detect(ex.tokens, taxonomy,
-                                    critic) == ex.foil_index
-        base_det_hits += _holdout_detect(ex.tokens, taxonomy,
-                                         baseline) == ex.foil_index
-        targets = taxonomy.flip_pool(ex.tokens[ex.foil_index])
-        cor_hits += _substitution_correct(ex.tokens, ex.foil_index, targets,
-                                          critic) == ex.correction
-        base_cor_hits += _substitution_correct(ex.tokens, ex.foil_index,
-                                               targets,
-                                               baseline) == ex.correction
+        det = slice(1, 1 + len(candidates))
+        cor = slice(1 + len(candidates), None)
+        det_hits += _first_max(candidates, critic[det]) == ex.foil_index
+        base_det_hits += _first_max(candidates,
+                                    baseline[det]) == ex.foil_index
+        cor_hits += _first_max(targets, critic[cor]) == ex.correction
+        base_cor_hits += _first_max(targets, baseline[cor]) == ex.correction
 
     n = len(examples)
     return FoilReport(

@@ -514,3 +514,15 @@ def test_pair_sentences_below_one_exits_5(workspace, tmp_path, capsys,
     assert stderr_record(err)["message"] == \
         f"--pair-sentences must be >= 1, got {value}"
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_pairs_per_scene_below_one_exits_5(workspace, tmp_path, capsys,
+                                           value):
+    code, _, err = run(capsys, "train", "--dataset", workspace["ds"],
+                       "--out", str(tmp_path / "m.json"),
+                       "--pairs-per-scene", value)
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == \
+        f"--pairs-per-scene must be >= 1, got {value}"
+    assert not (tmp_path / "m.json").exists()

@@ -255,6 +255,50 @@ def test_training_determinism(tiny_dataset, grounded_pairs):
     assert runs[0][1] == runs[1][1]
 
 
+def reference_training(model, examples, kind, seed):
+    """The momentum update written per parameter name, on the batches and
+    in the order _run_training uses; returns the per-epoch mean losses."""
+    hyper = model.hyper
+    rng = np.random.default_rng([seed, 1])
+    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
+    losses = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(examples))
+        total = 0.0
+        for lo in range(0, len(examples), hyper.batch_size):
+            rows = order[lo:lo + hyper.batch_size]
+            loss, grads = gradients(model, [examples[r] for r in rows], kind)
+            total += loss * len(rows)
+            for name in model.params:
+                velocity[name] = hyper.momentum * velocity[name] + grads[name]
+                model.params[name] -= hyper.lr * velocity[name]
+        losses.append(total / len(examples))
+    return losses
+
+
+@pytest.mark.parametrize("kind", ["rank", "binary"])
+def test_flat_update_equals_a_per_name_update(tiny_dataset, grounded_pairs,
+                                              kind):
+    """One vector update per step gives the bits of a per-name loop."""
+    pairs = grounded_pairs["train"][:60]  # a short last batch too
+    if kind == "rank":
+        examples, train = pairs, train_ranker
+    else:
+        examples = [(p, True) for p, _ in pairs] + \
+            [(n, False) for _, n in pairs]
+        train = train_classifier
+    flat = CriticModel.for_taxonomy(tiny_dataset.taxonomy, SMALL, seed=6)
+    report = train(flat, examples, seed=6)
+    ref = CriticModel.for_taxonomy(tiny_dataset.taxonomy, SMALL, seed=6)
+    ref.objective = flat.objective
+    losses = reference_training(ref, examples, kind, seed=6)
+    assert report.train_loss == losses
+    for name in flat.params:
+        np.testing.assert_array_equal(flat.params[name], ref.params[name])
+    np.testing.assert_array_equal(flat.flatten_params(),
+                                  ref.flatten_params())
+
+
 def test_infinite_loss_aborts_with_partial_report(tiny_dataset,
                                                   grounded_pairs):
     wild = CriticHyper(embed_dim=4, input_dim=5, hidden_dim=4, head_dim=3,

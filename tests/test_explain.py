@@ -114,6 +114,34 @@ def test_selection_tie_breaks_to_earliest(tiny_dataset, model,
         assert explanation.rank == dup_positions[0]
 
 
+def test_later_duplicate_scored_higher_loses_the_tie(tiny_dataset, model,
+                                                    scene_candidates):
+    """A batch may score a later copy of a candidate one ulp higher than
+    the first; selection still picks the first copy."""
+    scene, candidates = scene_candidates
+    taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
+    best = select_explanation(candidates, scene, model, taxonomy, config)
+    duplicated = candidates + [best.candidate]
+
+    batches = []
+
+    class LaterCopyHigher:
+        def score_many(self, sequences):
+            scores = model.score_many(sequences)
+            scores[-1] = np.nextafter(scores[-1], np.inf)
+            batches.append((sequences, scores))
+            return scores
+
+    explanation = select_explanation(duplicated, scene, LaterCopyHigher(),
+                                     taxonomy, config)
+    assert explanation.rank == best.rank
+    [(sequences, scores)] = batches
+    first = next(r for r, seq in enumerate(sequences)
+                 if seq is explanation.groundings)
+    assert scores[first] < scores[-1]
+    assert explanation.relevance == scores[first]
+
+
 def test_selection_rejects_empty_candidate_list(tiny_dataset, model):
     scene = tiny_dataset.scenes[0]
     with pytest.raises(ValueError, match="no candidates"):

@@ -9,7 +9,8 @@ from phrasecritic.foil import (baseline_classify, build_foil_examples,
                                classify, content_word_indices,
                                correct_foil_word, detect_foil_word,
                                run_foil_eval, train_foil_classifier, tune_tau,
-                               _holdout_detect, _substitution_correct)
+                               _critic_scorer, _first_max, _holdout_variants,
+                               _substitution_variants)
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import ATTRIBUTE_CATEGORIES
 
@@ -28,6 +29,17 @@ def truth_scorer(scene, taxonomy):
     def score(tokens):
         return 0.0 if contradicts_scene(tokens, scene, taxonomy) else 1.0
     return score
+
+
+def holdout_detect(tokens, taxonomy, score_fn):
+    """The task's pick with a one-sentence scorer."""
+    candidates, variants = _holdout_variants(tokens, taxonomy)
+    return _first_max(candidates, [score_fn(v) for v in variants])
+
+
+def substitution_correct(tokens, foil_index, targets, score_fn):
+    ordered, variants = _substitution_variants(tokens, foil_index, targets)
+    return _first_max(ordered, [score_fn(v) for v in variants])
 
 
 # -- example building ----------------------------------------------------------
@@ -111,7 +123,7 @@ def test_holdout_detect_with_truth_scorer(tiny_dataset, taxonomy):
     tokens = ["this", "bird", "has", "a", wrong, "wing", "and", "a",
               head.attrs["color"], "head"]
     assert contradicts_scene(tokens, scene, taxonomy)
-    got = _holdout_detect(tokens, taxonomy, truth_scorer(scene, taxonomy))
+    got = holdout_detect(tokens, taxonomy, truth_scorer(scene, taxonomy))
     assert got == 4
 
 
@@ -119,13 +131,13 @@ def test_holdout_detect_tie_breaks_to_first_content_word(tiny_dataset,
                                                          taxonomy):
     tokens = ["this", "bird", "has", "a", "red", "wing"]
     assert content_word_indices(tokens, taxonomy) == [1, 4, 5]
-    got = _holdout_detect(tokens, taxonomy, lambda _: 0.5)
+    got = holdout_detect(tokens, taxonomy, lambda _: 0.5)
     assert got == 1
 
 
 def test_holdout_detect_requires_content_words(taxonomy):
     with pytest.raises(ValueError, match="content"):
-        _holdout_detect(["this", "is", "a"], taxonomy, lambda _: 0.0)
+        holdout_detect(["this", "is", "a"], taxonomy, lambda _: 0.0)
 
 
 def test_detect_foil_word_uses_critic(tiny_dataset, model, scene_by_id):
@@ -150,20 +162,20 @@ def test_substitution_correct_with_truth_scorer(tiny_dataset, scene_by_id):
     for ex in examples:
         scene = scene_by_id[ex.scene_id]
         targets = taxonomy.flip_pool(ex.tokens[ex.foil_index])
-        got = _substitution_correct(ex.tokens, ex.foil_index, targets,
-                                    truth_scorer(scene, taxonomy))
+        got = substitution_correct(ex.tokens, ex.foil_index, targets,
+                                   truth_scorer(scene, taxonomy))
         assert got == ex.correction
 
 
 def test_substitution_correct_lexicographic_ties():
-    got = _substitution_correct(["the", "wing"], 1, ("red", "blue", "green"),
-                                lambda _: 1.0)
+    got = substitution_correct(["the", "wing"], 1, ("red", "blue", "green"),
+                               lambda _: 1.0)
     assert got == "blue"
 
 
 def test_substitution_correct_rejects_empty_targets():
     with pytest.raises(ValueError, match="empty"):
-        _substitution_correct(["a", "red", "wing"], 1, (), lambda _: 0.0)
+        substitution_correct(["a", "red", "wing"], 1, (), lambda _: 0.0)
 
 
 def test_correct_foil_word_default_targets(tiny_dataset, model, scene_by_id):
@@ -290,12 +302,12 @@ def test_run_foil_eval_agrees_with_the_task_functions(tiny_dataset, model,
             baseline = baseline_scorer(scene)
             hits[2] += detect_foil_word(ex.tokens, scene, model, taxonomy,
                                         config) == ex.foil_index
-            hits[3] += _holdout_detect(ex.tokens, taxonomy,
-                                       baseline) == ex.foil_index
+            hits[3] += holdout_detect(ex.tokens, taxonomy,
+                                      baseline) == ex.foil_index
             hits[4] += correct_foil_word(ex.tokens, ex.foil_index, scene,
                                          model, taxonomy,
                                          config) == ex.correction
-            hits[5] += _substitution_correct(
+            hits[5] += substitution_correct(
                 ex.tokens, ex.foil_index,
                 taxonomy.flip_pool(ex.tokens[ex.foil_index]),
                 baseline) == ex.correction
@@ -305,6 +317,69 @@ def test_run_foil_eval_agrees_with_the_task_functions(tiny_dataset, model,
                 report.correction, report.baseline_correction) == \
             (hits[0] / n, hits[1] / n, hits[2] / foils, hits[3] / foils,
              hits[4] / foils, hits[5] / foils)
+
+
+def test_run_foil_eval_hits_equal_one_row_scores(tiny_dataset, model,
+                                                 scene_by_id):
+    """The critic's three accuracies, from one model.score call per variant
+    (one row per batch) and strict-> picks, against the report's one
+    batched call per example."""
+    taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
+
+    def prob(scene, tokens):
+        seq = grounding.ground_all(textproc.chunk_sentence(tokens, taxonomy),
+                                   scene, taxonomy, config)
+        return float(_sigmoid(np.array(model.score(seq)))) if seq else 0.0
+
+    def pick(options, variant_of, scene):
+        best, best_score = None, None
+        for option in options:
+            s = prob(scene, variant_of(option))
+            if best_score is None or s > best_score:
+                best, best_score = option, s
+        return best
+
+    report = run_foil_eval(tiny_dataset, model)
+    examples = build_foil_examples(tiny_dataset, "test")
+    hits = [0, 0, 0]
+    for ex in examples:
+        scene = scene_by_id[ex.scene_id]
+        t = ex.tokens
+        hits[0] += (prob(scene, t) > 0.5) == ex.label
+        if ex.label:
+            continue
+        hits[1] += pick(content_word_indices(t, taxonomy),
+                        lambda i: t[:i] + t[i + 1:], scene) == ex.foil_index
+        k = ex.foil_index
+        hits[2] += pick(sorted(taxonomy.flip_pool(t[k])),
+                        lambda w: t[:k] + [w] + t[k + 1:],
+                        scene) == ex.correction
+    n, foils = len(examples), report.num_foils
+    assert foils > 0 and 0 < hits[1] < foils
+    assert (report.classification, report.detection, report.correction) == \
+        (hits[0] / n, hits[1] / foils, hits[2] / foils)
+
+
+class RowOrderModel:
+    """Scores row r of every batch r: a later row always wins, so only
+    sequences that share a row can tie."""
+
+    def score_many(self, sequences):
+        return np.arange(len(sequences), dtype=float)
+
+
+def test_coinciding_holdouts_blame_the_smaller_index(tiny_dataset, taxonomy):
+    tokens = ["red", "red", "wing"]
+    candidates, variants = _holdout_variants(tokens, taxonomy)
+    assert candidates == [0, 1, 2]
+    assert variants[0] == variants[1] == ["red", "wing"]
+    assert textproc.chunk_sentence(variants[2], taxonomy) == []
+    scene = tiny_dataset.scenes[0]
+    grounder = grounding.SceneGrounder(scene, taxonomy, tiny_dataset.grounder)
+    assert _critic_scorer(RowOrderModel(), grounder)(variants) == \
+        [0.5, 0.5, 0.0]
+    assert detect_foil_word(tokens, scene, RowOrderModel(), taxonomy,
+                            tiny_dataset.grounder) == 0
 
 
 def test_foil_report_json_matches_schema(tiny_dataset, model):

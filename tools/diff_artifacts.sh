@@ -8,8 +8,9 @@
 # with --pairs-out and --report-out, binary training (batch 16, hidden 16)
 # with --report-out, then rank, rank --error-rate 0, rank --error-rate 1
 # --candidates 30 (every mention from the scene, then from the class
-# prior), counterfactual, eval, eval --limit 5 and foil. synth (every
-# scene) and rank also write --emit-svg directories.
+# prior), counterfactual, eval, eval --limit 5, foil, and foil --split val
+# --tau 0.5 (a given threshold on a second split). synth (every scene) and
+# rank also write --emit-svg directories.
 # Every artifact is compared with cmp and each SVG directory with diff -r;
 # the exit status is non-zero if any command fails or any output differs.
 # Each checkout's line count (cat src/phrasecritic/*.py | wc -l) is
@@ -31,7 +32,7 @@ trap 'rm -rf "$work"' EXIT
 
 ARTIFACTS="dataset pairs critic train_report foil_critic foil_train_report
 ranked ranked_err0 ranked_err1 counterfactuals metrics metrics_limit5
-foil_report"
+foil_report foil_report_val"
 
 build() {
     local src=$1/src out=$2
@@ -62,6 +63,8 @@ build() {
         --out "$out/metrics_limit5.json"
     pc foil --dataset "$ds" --model "$out/foil_critic.json" \
         --out "$out/foil_report.json"
+    pc foil --dataset "$ds" --model "$out/foil_critic.json" --split val \
+        --tau 0.5 --out "$out/foil_report_val.json"
 }
 
 for checkout in "$old" "$new"; do
