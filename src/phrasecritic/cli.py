@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -71,14 +72,21 @@ def _require_at_least(flag: str, value, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _require_finite(flag: str, value) -> None:
+    """Reject a NaN or infinite float flag, which JSON cannot hold (exit 5)."""
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _select_scenes(dataset: Dataset, args):
     """The --scene ids, or else the --split scenes, cut to --limit.
 
-    A negative --limit, --candidates below 1, an unknown scene id or an
-    empty split raises ValueError (exit 5).
+    A negative --limit, --candidates below 1, a non-finite --threshold, an
+    unknown scene id or an empty split raises ValueError (exit 5).
     """
     _require_at_least("--limit", args.limit, 0)
     _require_at_least("--candidates", args.candidates, 1)
+    _require_finite("--threshold", args.threshold)
     if getattr(args, "scene", None):
         by_id = {s.scene_id: s for s in dataset.scenes}
         missing = [i for i in args.scene if i not in by_id]
@@ -222,6 +230,7 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_foil(args) -> int:
+    _require_finite("--tau", args.tau)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "binary")
     report = foil.run_foil_eval(dataset, model, split=args.split,

@@ -76,9 +76,9 @@ def candidate_pool(dataset: Dataset, lms, scene: Scene, n: int,
 
 
 def ground_candidates(candidates, scene, taxonomy, config):
-    """Ground each candidate once, through one SceneGrounder, for reuse."""
-    grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    return [grounder.ground(c.phrases) for c in candidates]
+    """Ground each candidate once, in one SceneGrounder call, for reuse."""
+    return grounding.SceneGrounder(scene, taxonomy, config).ground_many(
+        [c.phrases for c in candidates])
 
 
 def select_explanation(candidates, scene: Scene, model: CriticModel,

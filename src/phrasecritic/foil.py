@@ -7,21 +7,23 @@ score most (smallest index on ties). Correction substitutes each target
 word at the foiled position and keeps the best-scoring one (lexicographic
 ties).
 
-Both scorers take a list of sentence variants. The evaluation builds each
-example's list once (the sentence, then for a foil its hold-one-out
-variants and its sorted substitutions) and grounds it through one
-SceneGrounder per scene, so each variant is chunked and grounded once and
-shared by both scorers. The critic scores the list in one score_many call,
-one row per distinct token sequence, so coinciding variants tie exactly.
+A foil sentence is chunked once; its restored original and substitutions
+take its phrases with one word swapped in (textproc.apply_edits), so only
+hold-one-out variants are chunked again. The evaluation grounds each
+example's variants (the sentence, then for a foil its hold-one-out variants
+and sorted substitutions) in one SceneGrounder call and scores them in one
+score_many call, one row per distinct token sequence, so coinciding
+variants tie exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from . import grounding
+from . import grounding, textproc
 from .critic import (CriticHyper, CriticModel, TrainReport, _sigmoid,
                      train_classifier)
 from .errors import ConfigurationError
@@ -33,6 +35,7 @@ class FoilExample:
     scene_id: int
     tokens: list[str]
     label: bool                    # True when the sentence fits the scene
+    phrases: list                  # the chunking of tokens
     foil_index: int | None = None
     correction: str | None = None
 
@@ -88,13 +91,24 @@ def build_foil_examples(dataset: Dataset, split: str) -> list[FoilExample]:
     for sentence in dataset.sentences:
         if splits[sentence.scene_id] != split or sentence.foil is None:
             continue
-        original = list(sentence.tokens)
-        original[sentence.foil.index] = sentence.foil.original
-        examples.append(FoilExample(sentence.scene_id, original, True))
+        foil = sentence.foil
+        phrases = textproc.chunk_sentence(sentence.tokens, dataset.taxonomy)
+        original, original_phrases = textproc.apply_edits(
+            sentence.tokens, phrases, [(foil.index, foil.original)])
+        examples.append(FoilExample(sentence.scene_id, list(original), True,
+                                    original_phrases))
         examples.append(FoilExample(sentence.scene_id, list(sentence.tokens),
-                                    False, sentence.foil.index,
-                                    sentence.foil.original))
+                                    False, phrases, foil.index,
+                                    foil.original))
     return examples
+
+
+def _ground_examples(grounders, examples):
+    """Each example's grounded phrases, with one SceneGrounder call per run
+    of examples from one scene."""
+    return [seq for scene_id, run in groupby(examples, lambda ex: ex.scene_id)
+            for seq in grounders[scene_id].ground_many(
+                [ex.phrases for ex in run])]
 
 
 def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
@@ -105,9 +119,9 @@ def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
                                           dataset.grounder)
 
     def prepare(split):
-        labelled = ((grounders[ex.scene_id].ground_tokens(ex.tokens), ex.label)
-                    for ex in build_foil_examples(dataset, split))
-        return [(seq, label) for seq, label in labelled if seq]
+        examples = build_foil_examples(dataset, split)
+        return [(seq, ex.label) for seq, ex
+                in zip(_ground_examples(grounders, examples), examples) if seq]
 
     model = CriticModel.for_taxonomy(dataset.taxonomy, hyper, seed,
                                      objective="binary")
@@ -146,30 +160,25 @@ def content_word_indices(tokens, taxonomy: Taxonomy) -> list[int]:
     return out
 
 
-def _critic_scorer(model, grounder):
-    """sigmoid(S_r) of each token sequence in a list; 0 without phrases.
+def _critic_probs(model, keys, seqs) -> list[float]:
+    """sigmoid(S_r) of grounded variants keyed by their token tuples, with
+    one score_many row per distinct key with phrases; 0 without phrases."""
+    first = {}
+    for key, seq in zip(keys, seqs):
+        if seq:
+            first.setdefault(key, seq)
+    probs = dict(zip(first, _sigmoid(model.score_many(list(
+        first.values()))).tolist())) if first else {}
+    return [probs.get(key, 0.0) for key in keys]
 
-    The distinct sequences with phrases go through one score_many call, so
-    identical sequences share one score.
-    """
+
+def _critic_scorer(model, grounder):
+    """_critic_probs of each token sequence in a list, chunked and grounded
+    by grounder."""
     def score(variants) -> list[float]:
         keys = [tuple(tokens) for tokens in variants]
-        seqs = {k: grounder.ground_tokens(k) for k in keys}
-        scorable = [k for k, seq in seqs.items() if seq]
-        probs = {}
-        if scorable:
-            scores = model.score_many([seqs[k] for k in scorable])
-            probs = dict(zip(scorable, _sigmoid(scores).tolist()))
-        return [probs.get(k, 0.0) for k in keys]
-    return score
-
-
-def _baseline_scorer(grounder):
-    """Mean raw grounding score of each token sequence in a list; -inf
-    without phrases."""
-    def score(variants) -> list[float]:
-        return [grounding.mean_grounding_score(grounder.ground_tokens(tokens))
-                for tokens in variants]
+        return _critic_probs(model, keys,
+                             [grounder.ground_tokens(k) for k in keys])
     return score
 
 
@@ -182,15 +191,16 @@ def _holdout_variants(tokens, taxonomy) -> tuple[list[int], list[list[str]]]:
                         for i in candidates]
 
 
-def _substitution_variants(tokens, foil_index,
-                           targets) -> tuple[list[str], list[list[str]]]:
-    """The targets in lexicographic order and the sentence with each one at
-    foil_index."""
+def _substitution_variants(tokens, foil_index, targets, phrases=()):
+    """The targets in lexicographic order and, for each, the sentence with
+    it at foil_index: its token tuple and its phrases, edited from phrases
+    (the chunking of tokens) by textproc.apply_edits."""
     if not targets:
         raise ValueError("empty correction target set")
     ordered = sorted(targets)
-    return ordered, [list(tokens[:foil_index]) + [target]
-                     + list(tokens[foil_index + 1:]) for target in ordered]
+    return ordered, [textproc.apply_edits(tokens, phrases,
+                                          [(foil_index, target)])
+                     for target in ordered]
 
 
 def _first_max(options, scores):
@@ -218,40 +228,44 @@ def correct_foil_word(tokens, foil_index: int, scene: Scene,
     if targets is None:
         targets = taxonomy.flip_pool(tokens[foil_index])
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
+    # any targets may be given, so each variant is chunked
     ordered, variants = _substitution_variants(tokens, foil_index, targets)
-    return _first_max(ordered, _critic_scorer(model, grounder)(variants))
+    return _first_max(ordered, _critic_scorer(model, grounder)(
+        [variant for variant, _ in variants]))
 
 
 def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
                       config) -> bool:
     """Mean grounding score thresholded at tau; no phrases means foil."""
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    [mean] = _baseline_scorer(grounder)([tokens])
-    return mean > tau
+    return grounding.mean_grounding_score(grounder.ground_tokens(tokens)) > tau
 
 
 def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
-    """Pick the accuracy-maximising threshold over observed mean scores.
-
-    Candidates are the midpoints between consecutive distinct sorted means;
-    the smallest optimal midpoint is returned.
-    """
+    """The accuracy-maximising threshold on the examples' mean grounding
+    scores (_best_threshold)."""
     grounders = grounding.scene_grounders(scenes, taxonomy, config)
-    means = np.array([grounding.mean_grounding_score(
-        grounders[ex.scene_id].ground_tokens(ex.tokens)) for ex in examples])
-    labels = np.array([ex.label for ex in examples])
+    return _best_threshold(
+        np.array([grounding.mean_grounding_score(seq) for seq
+                  in _ground_examples(grounders, examples)]),
+        np.array([ex.label for ex in examples]))
+
+
+def _best_threshold(means, labels) -> float:
+    """The smallest midpoint of consecutive distinct finite means with the
+    best accuracy of means > tau; one below a lone mean, 0.0 without."""
     finite = np.unique(means[np.isfinite(means)])
     if len(finite) < 2:
         return float(finite[0] - 1.0) if len(finite) else 0.0
     midpoints = (finite[:-1] + finite[1:]) / 2.0
-    best_tau = None
-    best_acc = -1.0
-    for tau in midpoints:
-        acc = float(np.mean((means > tau) == labels))
-        if acc > best_acc:
-            best_acc = acc
-            best_tau = float(tau)
-    return best_tau
+    # (means > tau) == labels holds for the positives above tau and the
+    # negatives at or below it. The count over n is the float np.mean gives,
+    # and argmax takes the first (smallest) best midpoint.
+    positives = np.sort(means[labels])
+    correct = len(positives) \
+        - np.searchsorted(positives, midpoints, side="right") \
+        + np.searchsorted(np.sort(means[~labels]), midpoints, side="right")
+    return float(midpoints[np.argmax(correct / len(means))])
 
 
 def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
@@ -268,23 +282,26 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
 
     # The decisions of classify, baseline_classify, detect_foil_word and
     # correct_foil_word. Each example's variants (the sentence, then for a
-    # foil its hold-outs and substitutions) are scored in one critic call.
+    # foil its hold-outs and substitutions) are grounded in one call and
+    # scored in one critic call.
     grounders = grounding.scene_grounders(scenes, taxonomy, config)
     cls_hits = base_cls_hits = 0
     det_hits = base_det_hits = 0
     cor_hits = base_cor_hits = 0
     foils = 0
     for ex in examples:
-        variants = [ex.tokens]
+        variants = [(tuple(ex.tokens), ex.phrases)]
         if not ex.label:
             candidates, held_out = _holdout_variants(ex.tokens, taxonomy)
             targets, substituted = _substitution_variants(
                 ex.tokens, ex.foil_index,
-                taxonomy.flip_pool(ex.tokens[ex.foil_index]))
-            variants += held_out + substituted
-        grounder = grounders[ex.scene_id]
-        critic = _critic_scorer(model, grounder)(variants)
-        baseline = _baseline_scorer(grounder)(variants)
+                taxonomy.flip_pool(ex.tokens[ex.foil_index]), ex.phrases)
+            variants += [(tuple(v), textproc.chunk_sentence(v, taxonomy))
+                         for v in held_out] + substituted
+        keys, sentences = zip(*variants)
+        seqs = grounders[ex.scene_id].ground_many(sentences)
+        critic = _critic_probs(model, keys, seqs)
+        baseline = [grounding.mean_grounding_score(seq) for seq in seqs]
         cls_hits += (critic[0] > 0.5) == ex.label
         base_cls_hits += (baseline[0] > tau) == ex.label
         if ex.label:

@@ -104,21 +104,6 @@ def _noise_stream(config: GrounderConfig, scene_id: int):
     return np.random.default_rng([config.seed, 2, scene_id])
 
 
-def _ground_from_match(phrase: AttributePhrase, scene: Scene,
-                       taxonomy: Taxonomy, features: np.ndarray,
-                       mention: np.ndarray, match: np.ndarray,
-                       noise: float) -> GroundedPhrase:
-    # Pick the region with the largest dot product (match) and score it.
-    best = int(np.argmax(match))
-    region = scene.regions[best]
-    score = taxonomy.kappa[region.part] * min(float(match[best]), 1.0) \
-        + float(noise)
-    overlap = features[best, :taxonomy.vector_dim] * mention
-    return GroundedPhrase(phrase=phrase, part=region.part, region_index=best,
-                          box=region.box, features=features[best].copy(),
-                          mention=mention, match=overlap, score=score)
-
-
 def ground_phrase(phrase: AttributePhrase, scene: Scene, taxonomy: Taxonomy,
                   config: GrounderConfig, phrase_index: int = 0,
                   features: np.ndarray | None = None) -> GroundedPhrase:
@@ -134,19 +119,30 @@ def ground_phrase(phrase: AttributePhrase, scene: Scene, taxonomy: Taxonomy,
     """
     if features is None:
         features = scene_features(scene, taxonomy, config)
-    vec = embed_phrase(phrase, taxonomy)
-    match = features[:, :taxonomy.vector_dim] @ vec
+    mention = embed_phrase(phrase, taxonomy)
+    match = features[:, :taxonomy.vector_dim] @ mention
+    best = int(np.argmax(match))
+    region = scene.regions[best]
     noise = _noise_stream(config, scene.scene_id).standard_normal(
         phrase_index + 1)[-1] * config.sigma
-    return _ground_from_match(phrase, scene, taxonomy, features, vec, match,
-                              noise)
+    score = taxonomy.kappa[region.part] * min(float(match[best]), 1.0) \
+        + float(noise)
+    return GroundedPhrase(phrase, region.part, best, region.box,
+                          features[best].copy(), mention,
+                          features[best, :taxonomy.vector_dim] * mention,
+                          score)
 
 
 class SceneGrounder:
     """One scene's grounding context: its feature matrix, the drawn prefix
-    of its score-noise stream (extended only when a longer sentence needs
-    more: successive draws continue one stream), and a memo of sentences.
-    Each sentence equals ground_phrase on each phrase at its index.
+    of its score-noise stream (extended only when a later phrase index
+    needs more: successive draws continue one stream), a memo of groundings
+    keyed by (adjectives, noun, phrase index) and a memo of token sequences.
+
+    A grounding depends only on the phrase's words and its index, since the
+    noise is drawn per index, so each key is grounded once per scene. Every
+    phrase equals ground_phrase on it at its index, and carries the
+    caller's own phrase object.
     """
 
     def __init__(self, scene: Scene, taxonomy: Taxonomy,
@@ -157,37 +153,56 @@ class SceneGrounder:
         self.features = scene_features(scene, taxonomy, config)
         self._stream = _noise_stream(config, scene.scene_id)
         self._noise = np.empty(0)
-        self._memo: dict[tuple, list[GroundedPhrase]] = {}
+        self._memo: dict[tuple, tuple] = {}
+        self._sentences: dict[tuple, list[GroundedPhrase]] = {}
+
+    def ground_many(self, sentences) -> list[list[GroundedPhrase]]:
+        """Ground each phrase list of sentences in order. The keys not
+        grounded before go through one (phrases x regions) product (sums of
+        0/1 indicators, hence exact however batched) and one noise slice."""
+        memo, taxonomy, features = self._memo, self.taxonomy, self.features
+        dim = taxonomy.vector_dim
+        new = {(p.adjectives, p.noun, i): p for phrases in sentences
+               for i, p in enumerate(phrases)
+               if (p.adjectives, p.noun, i) not in memo}
+        if new:
+            mentions = [embed_phrase(p, taxonomy) for p in new.values()]
+            stacked = np.stack(mentions)
+            matches = stacked @ features[:, :dim].T
+            missing = max(i for _, _, i in new) + 1 - len(self._noise)
+            if missing > 0:
+                more = self._stream.standard_normal(missing) * \
+                    self.config.sigma
+                self._noise = np.concatenate([self._noise, more])
+            noise = self._noise.tolist()
+            bests = matches.argmax(axis=1)  # the first best region on ties
+            tops = matches[np.arange(len(bests)), bests].tolist()
+            rows = features[bests]
+            for key, best, top, row, mention, overlap in zip(
+                    new, bests.tolist(), tops, rows, mentions,
+                    rows[:, :dim] * stacked):
+                region = self.scene.regions[best]
+                score = taxonomy.kappa[region.part] * min(top, 1.0) \
+                    + noise[key[2]]
+                memo[key] = (region.part, best, region.box, row, mention,
+                             overlap, score)
+        return [[GroundedPhrase(p, *memo[p.adjectives, p.noun, i])
+                 for i, p in enumerate(phrases)] for phrases in sentences]
 
     def ground(self, phrases) -> list[GroundedPhrase]:
-        """Ground a sentence's phrases in order, with one (phrases x regions)
-        product (sums of 0/1 indicators, hence exact) and one noise slice.
-        """
-        if not phrases:
-            return []
-        taxonomy, features = self.taxonomy, self.features
-        mentions = [embed_phrase(p, taxonomy) for p in phrases]
-        matches = np.stack(mentions) @ features[:, :taxonomy.vector_dim].T
-        missing = len(phrases) - len(self._noise)
-        if missing > 0:
-            more = self._stream.standard_normal(missing) * self.config.sigma
-            self._noise = np.concatenate([self._noise, more])
-        return [_ground_from_match(p, self.scene, taxonomy, features, mention,
-                                   match, n)
-                for p, mention, match, n
-                in zip(phrases, mentions, matches, self._noise)]
+        """Ground one sentence's phrases in order."""
+        return self.ground_many([phrases])[0]
 
-    def ground_tokens(self, tokens) -> list[GroundedPhrase]:
-        """Chunk and ground a token sequence, once per distinct sequence.
-
-        Chunking is a pure function of the tokens, so the memo is exact.
-        Repeated sequences get the same list back: treat it as read-only.
+    def ground_tokens(self, tokens, phrases=None) -> list[GroundedPhrase]:
+        """Ground a token sequence, chunked unless its phrases are given,
+        once per distinct sequence: a repeat gets the same (read-only) list.
         """
         key = tuple(tokens)
-        grounded = self._memo.get(key)
+        grounded = self._sentences.get(key)
         if grounded is None:
-            grounded = self.ground(chunk_sentence(list(tokens), self.taxonomy))
-            self._memo[key] = grounded
+            if phrases is None:
+                phrases = chunk_sentence(key, self.taxonomy)
+            grounded = self._sentences[key] = self.ground(phrases)
         return grounded
 
 

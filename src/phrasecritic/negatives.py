@@ -4,7 +4,8 @@ Negatives are built from a true sentence by flipping one token in one or
 two of its phrases, so they stay grammatical, mention the same parts, and
 differ from the positive in a small, targeted way. Pair construction
 additionally drops any negative that happens to still be true of the
-scene, so every training pair is genuinely rankable.
+scene, so every training pair is genuinely rankable. Only positives are
+chunked: a negative's phrases are edited from its positive's (apply_edits).
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ def _phrase_flips(phrase: AttributePhrase, taxonomy: Taxonomy):
     for alt in taxonomy.flip_pool(phrase.noun):
         flips.append((phrase.noun_position, alt))
     return flips
-
-
-def _apply_edits(tokens, edits) -> tuple[str, ...]:
-    out = list(tokens)
-    for pos, replacement in edits:
-        out[pos] = replacement
-    return tuple(out)
 
 
 def _flip_counts(n_phrases: int):
@@ -126,7 +120,8 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
         for c in sorted(int(c) for c in chosen):
             flips = per_phrase[flippable[c]]
             edits.append(flips[int(rng.integers(len(flips)))])
-        negative = _apply_edits(positive, edits)
+        # tokens only: pairs derive a negative's phrases from its flips
+        negative, _ = textproc.apply_edits(positive, (), edits)
         if negative not in seen:
             seen.add(negative)
             negatives.append(list(negative))
@@ -135,7 +130,7 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
         # Rejection sampling exhausted its budget before finding them all:
         # enumerate the space for the rest.
         for edits in _enumerate_space(phrases, taxonomy, len(phrases)):
-            negative = _apply_edits(positive, edits)
+            negative, _ = textproc.apply_edits(positive, (), edits)
             if negative not in seen:
                 seen.add(negative)
                 negatives.append(list(negative))
@@ -144,10 +139,19 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
     return negatives
 
 
-def contradicts_scene(tokens, scene: Scene, taxonomy: Taxonomy) -> bool:
-    """True if any phrase mentions an attribute the scene does not have."""
-    return not all(phrase_correct(p, scene, taxonomy)
-                   for p in textproc.chunk_sentence(list(tokens), taxonomy))
+def contradicts_scene(tokens, scene: Scene, taxonomy: Taxonomy,
+                      phrases=None) -> bool:
+    """True if any phrase (given, or else chunked from tokens) mentions an
+    attribute the scene does not have."""
+    if phrases is None:
+        phrases = textproc.chunk_sentence(tokens, taxonomy)
+    return not all(phrase_correct(p, scene, taxonomy) for p in phrases)
+
+
+def _edited_phrases(positive, phrases, negative, flips):
+    """The negative's phrases, from the positive's and the flipped tokens."""
+    return textproc.apply_edits(positive, phrases,
+                                [(i, negative[i]) for i in flips])[1]
 
 
 def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
@@ -158,7 +162,6 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
     part that really has the attribute) are discarded, so extra candidates
     are mined and the first k contradicting ones kept.
     """
-    scene_by_id = {s.scene_id: s for s in dataset.scenes}
     gt_by_scene: dict[int, list] = {}
     for sentence in dataset.sentences:
         if sentence.foil is None:
@@ -170,16 +173,19 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
             rng = np.random.default_rng([seed, 5, scene.scene_id])
             mined = make_negatives(sentence.tokens, taxonomy=dataset.taxonomy,
                                    k=3 * k, seed=rng)
+            phrases = textproc.chunk_sentence(sentence.tokens,
+                                              dataset.taxonomy)
             kept = 0
             for negative in mined:
                 if kept == k:
                     break
-                if not contradicts_scene(negative, scene_by_id[scene.scene_id],
-                                         dataset.taxonomy):
-                    continue
                 flips = tuple(i for i, (a, b)
                               in enumerate(zip(sentence.tokens, negative))
                               if a != b)
+                if not contradicts_scene(
+                        negative, scene, dataset.taxonomy, _edited_phrases(
+                            sentence.tokens, phrases, negative, flips)):
+                    continue
                 pairs.append(RankPair(scene.scene_id, list(sentence.tokens),
                                       negative, flips, scene.split))
                 kept += 1
@@ -191,19 +197,22 @@ def pairs_to_json(pairs) -> dict:
 
 
 def ground_rank_pairs(dataset: Dataset, pairs):
-    """Chunk and ground both sides of each pair in its own scene.
+    """Ground both sides of each pair in its own scene.
 
     Returns a dict keyed by split whose values are lists of
     (positive grounded sequence, negative grounded sequence) ready for
     ranker training. Each distinct sentence of a scene is grounded once,
-    so pairs with the same positive share one grounded list.
+    so pairs with the same positive share one grounded list, and a negative
+    grounds only the phrases its flips changed.
     """
     grounders = scene_grounders({s.scene_id: s for s in dataset.scenes},
                                 dataset.taxonomy, dataset.grounder)
     grouped: dict[str, list] = {}
     for pair in pairs:
         grounder = grounders[pair.scene_id]
+        positive = grounder.ground_tokens(pair.positive)
+        phrases = _edited_phrases(pair.positive, [g.phrase for g in positive],
+                                  pair.negative, pair.flips)
         grouped.setdefault(pair.split, []).append(
-            (grounder.ground_tokens(pair.positive),
-             grounder.ground_tokens(pair.negative)))
+            (positive, grounder.ground_tokens(pair.negative, phrases)))
     return grouped

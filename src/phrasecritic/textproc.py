@@ -8,7 +8,8 @@ scanning left to right without overlap:
                                              -> (red, orange; head)
 
 Both normalise to an adjective list plus a head noun, so downstream code
-never sees the surface order.
+never sees the surface order. apply_edits gives the phrases of an edited
+sentence from the phrases it was edited from, without chunking again.
 """
 
 from __future__ import annotations
@@ -21,21 +22,6 @@ VERB = "VERB"
 CONJ = "CONJ"
 DET = "DET"
 OTHER = "OTHER"
-
-POS_TAGS = (NOUN, ADJ, VERB, CONJ, DET, OTHER)
-
-
-@dataclass(frozen=True)
-class TaggedToken:
-    """A surface token with its POS tag and attribute category.
-
-    category is the lexicon category ("color", "size", "pattern", "part") or
-    None for function words and out-of-lexicon tokens.
-    """
-
-    text: str
-    pos: str
-    category: str | None
 
 
 @dataclass(frozen=True)
@@ -63,93 +49,79 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def pos_tag(tokens, lexicon) -> list[TaggedToken]:
-    """Tag tokens from a lexicon mapping token -> (pos, category).
-
-    Unknown tokens get OTHER/None rather than raising, so foreign words in
-    a sentence degrade to unchunkable filler.
-    """
-    tagged = []
-    for tok in tokens:
-        pos, category = lexicon.get(tok, (OTHER, None))
-        tagged.append(TaggedToken(tok, pos, category))
-    return tagged
-
-
-def _match_pattern_a(tagged, i):
-    # NOUN VERB ADJ
-    if i + 2 >= len(tagged):
-        return None
-    noun, verb, adj = tagged[i], tagged[i + 1], tagged[i + 2]
-    if noun.pos == NOUN and verb.pos == VERB and adj.pos == ADJ:
-        return AttributePhrase(
-            adjectives=(adj.text,),
-            noun=noun.text,
-            span=(i, i + 3),
-            categories=(adj.category,),
-            adj_positions=(i + 2,),
-            noun_position=i,
-        )
-    return None
-
-
-def _match_pattern_b(tagged, i):
-    # ADJ (CONJ? ADJ)* NOUN, greedy over the adjective run
-    if tagged[i].pos != ADJ:
-        return None
-    adjs = [tagged[i]]
-    adj_positions = [i]
-    j = i + 1
-    while j < len(tagged):
-        if tagged[j].pos == ADJ:
-            adjs.append(tagged[j])
-            adj_positions.append(j)
-            j += 1
-        elif (
-            tagged[j].pos == CONJ
-            and j + 1 < len(tagged)
-            and tagged[j + 1].pos == ADJ
-        ):
-            adjs.append(tagged[j + 1])
-            adj_positions.append(j + 1)
-            j += 2
-        else:
-            break
-    if j < len(tagged) and tagged[j].pos == NOUN:
-        return AttributePhrase(
-            adjectives=tuple(a.text for a in adjs),
-            noun=tagged[j].text,
-            span=(i, j + 1),
-            categories=tuple(a.category for a in adjs),
-            adj_positions=tuple(adj_positions),
-            noun_position=j,
-        )
-    return None
-
-
-def chunk_attribute_phrases(tagged) -> list[AttributePhrase]:
-    """Extract attribute phrases in sentence order.
-
-    At each position the applicable pattern is tried (A starts on a noun, B
-    on an adjective); matches are greedy, and the scan resumes past the end
-    of a match so phrases never overlap.
-    """
-    phrases = []
-    i = 0
-    n = len(tagged)
-    while i < n:
-        match = _match_pattern_b(tagged, i) or _match_pattern_a(tagged, i)
-        if match is not None:
-            phrases.append(match)
-            i = match.span[1]
-        else:
-            i += 1
-    return phrases
+_UNKNOWN = (OTHER, None)
 
 
 def chunk_sentence(tokens, taxonomy) -> list[AttributePhrase]:
-    """Tag with the taxonomy lexicon and chunk in one step."""
-    return chunk_attribute_phrases(pos_tag(tokens, taxonomy.lexicon))
+    """Extract attribute phrases in sentence order.
+
+    Each token is tagged with its lexicon (pos, category) entry; a token
+    outside the lexicon is OTHER, so foreign words degrade to unchunkable
+    filler. At each position the applicable pattern is tried (B starts on
+    an adjective, A on a noun); matches are greedy, and the scan resumes
+    past the end of a match so phrases never overlap. Only the tags decide
+    the spans, which is what apply_edits relies on.
+    """
+    tags = [taxonomy.lexicon.get(tok, _UNKNOWN) for tok in tokens]
+    n = len(tags)
+    phrases = []
+    i = 0
+    while i < n:
+        pos = tags[i][0]
+        if pos == ADJ:
+            # pattern B: ADJ (CONJ? ADJ)* NOUN, greedy over the adjectives
+            adjs = [i]
+            j = i + 1
+            while j < n:
+                if tags[j][0] == ADJ:
+                    adjs.append(j)
+                    j += 1
+                elif tags[j][0] == CONJ and j + 1 < n \
+                        and tags[j + 1][0] == ADJ:
+                    adjs.append(j + 1)
+                    j += 2
+                else:
+                    break
+            if j < n and tags[j][0] == NOUN:
+                phrases.append(AttributePhrase(
+                    tuple(tokens[k] for k in adjs), tokens[j], (i, j + 1),
+                    tuple(tags[k][1] for k in adjs), tuple(adjs), j))
+                i = j + 1
+                continue
+        elif pos == NOUN and i + 2 < n and tags[i + 1][0] == VERB \
+                and tags[i + 2][0] == ADJ:
+            # pattern A: NOUN VERB ADJ
+            phrases.append(AttributePhrase(
+                (tokens[i + 2],), tokens[i], (i, i + 3), (tags[i + 2][1],),
+                (i + 2,), i))
+            i += 3
+            continue
+        i += 1
+    return phrases
+
+
+def apply_edits(tokens, phrases, edits):
+    """A sentence's tokens and phrases after (position, replacement) edits.
+
+    phrases is the chunking of tokens. Spans and positions stay put and the
+    replaced adjectives and nouns are swapped in; a phrase no edit touches
+    is returned as is. This equals chunk_sentence of the edited tokens
+    whenever each replacement has the lexicon entry of the token it
+    replaces, because the chunker reads only the tags. Returns the edited
+    tokens as a tuple and the edited phrases as a list.
+    """
+    out = list(tokens)
+    for pos, replacement in edits:
+        out[pos] = replacement
+    edited = []
+    for p in phrases:
+        lo, hi = p.span
+        if any(lo <= pos < hi for pos, _ in edits):
+            p = AttributePhrase(tuple(out[k] for k in p.adj_positions),
+                                out[p.noun_position], p.span, p.categories,
+                                p.adj_positions, p.noun_position)
+        edited.append(p)
+    return tuple(out), edited
 
 
 def phrase_to_text(phrase: AttributePhrase) -> str:

@@ -94,6 +94,13 @@ class GrounderConfig:
     feature_noise: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("sigma", "feature_noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}")
+
 
 @dataclass
 class Taxonomy:
@@ -119,6 +126,10 @@ class Taxonomy:
                     raise ConfigurationError(
                         f"attribute token {tok!r} appears in two categories")
                 seen.add(tok)
+        nouns = seen.intersection({*self.parts, *self.aliases})
+        if nouns:
+            raise ConfigurationError(
+                f"part nouns {sorted(nouns)} are also attribute tokens")
         lexicon = {}
         for cat, tokens in self.categories.items():
             for tok in tokens:
@@ -406,11 +417,19 @@ class Dataset:
                     f"dataset sentence {i} names scene {sentence.scene_id}, "
                     f"which is not in the dataset")
             foil = sentence.foil
-            if foil is not None and not 0 <= foil.index < len(
-                    sentence.tokens):
+            if foil is None:
+                continue
+            if not 0 <= foil.index < len(sentence.tokens):
                 raise ConfigurationError(
                     f"dataset sentence {i} has foil index {foil.index} "
                     f"outside its {len(sentence.tokens)} tokens")
+            # the foil's phrases give the original's (textproc.apply_edits)
+            lexicon = self.taxonomy.lexicon
+            foiled = sentence.tokens[foil.index]
+            if lexicon.get(foil.original) != lexicon.get(foiled):
+                raise ConfigurationError(
+                    f"dataset sentence {i} has foil original {foil.original!r}"
+                    f", whose lexicon entry is not that of {foiled!r}")
 
     def save(self, path) -> None:
         write_json(path, self.to_json())
@@ -645,9 +664,9 @@ def make_foil_sentence(sentence: Sentence, taxonomy: Taxonomy, seed) -> Sentence
     if not pool:
         raise ValueError(f"no same-category alternative for {original!r}")
     replacement = pool[int(rng.integers(len(pool)))]
-    tokens = list(sentence.tokens)
-    tokens[index] = replacement
-    return Sentence(sentence.scene_id, tokens, FoilInfo(index, original))
+    tokens, _ = textproc.apply_edits(sentence.tokens, (),
+                                     [(index, replacement)])
+    return Sentence(sentence.scene_id, list(tokens), FoilInfo(index, original))
 
 
 def _split_counts(n: int, fractions) -> list[int]:
@@ -673,15 +692,13 @@ def _check_config(config: WorldConfig) -> None:
             f"foils_per_scene must be >= 0, got {config.foils_per_scene}")
     if not 0.0 <= config.noise <= 1.0:
         raise ConfigurationError(f"noise must be in [0, 1], got {config.noise}")
-    for name in ("sigma", "feature_noise"):
-        value = getattr(config, name)
-        if value < 0.0:
-            raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
 
 def generate_dataset(config: WorldConfig, seed: int) -> Dataset:
     """Generate the full dataset: world, scenes, sentences, and foils."""
     _check_config(config)
+    grounder = GrounderConfig(sigma=config.sigma,
+                              feature_noise=config.feature_noise, seed=seed)
     taxonomy = build_taxonomy(config, seed)
     profiles = sample_class_profiles(
         taxonomy, config.num_classes, seed, noise_rate=config.noise,
@@ -722,6 +739,4 @@ def generate_dataset(config: WorldConfig, seed: int) -> Dataset:
                     gt_sentences[k % len(gt_sentences)], taxonomy,
                     [seed, 4, scene_id, k]))
 
-    grounder = GrounderConfig(sigma=config.sigma,
-                              feature_noise=config.feature_noise, seed=seed)
     return Dataset(taxonomy, profiles, scenes, sentences, grounder, seed)

@@ -416,6 +416,18 @@ def _foil_out_of_range(payload):
     next(s for s in payload["sentences"] if s["foil"])["foil"]["index"] = 99
 
 
+def _foil_original_of_another_kind(payload):
+    sentence = next(s for s in payload["sentences"] if s["foil"])
+    # a part noun restoring an adjective, or an adjective restoring a noun
+    index = sentence["foil"]["index"]
+    is_part = sentence["tokens"][index] in payload["taxonomy"]["parts"]
+    sentence["foil"]["original"] = "red" if is_part else "beak"
+
+
+def _alias_like_an_adjective(payload):
+    payload["taxonomy"]["aliases"]["red"] = "wing"
+
+
 def _reversed_profiles(payload):
     payload["profiles"].reverse()
 
@@ -450,6 +462,9 @@ def _profile_without_category(payload):
     (_unknown_class, "scene 0 has class 50"),
     (_unknown_part, "scene 0 has a region for 'tail'"),
     (_foil_out_of_range, "foil index 99"),
+    (_foil_original_of_another_kind, "whose lexicon entry is not that of"),
+    (_alias_like_an_adjective,
+     "part nouns ['red'] are also attribute tokens"),
     (_reversed_profiles, "profile 0 has class_id 2"),
     (_missing_region, "scene 0 has no region for 'wing'"),
     (_region_without_category,
@@ -526,3 +541,56 @@ def test_pairs_per_scene_below_one_exits_5(workspace, tmp_path, capsys,
     assert stderr_record(err)["message"] == \
         f"--pairs-per-scene must be >= 1, got {value}"
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--sigma", "nan", "sigma must be finite and >= 0, got nan"),
+    ("--sigma", "inf", "sigma must be finite and >= 0, got inf"),
+    ("--sigma", "-1", "sigma must be finite and >= 0, got -1.0"),
+    ("--feature-noise", "nan",
+     "feature_noise must be finite and >= 0, got nan"),
+    ("--feature-noise", "inf",
+     "feature_noise must be finite and >= 0, got inf"),
+])
+def test_non_finite_synth_noise_exits_5(tmp_path, capsys, flag, value,
+                                        expected):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "ds.json"),
+                       flag, value, *SYNTH_FLAGS)
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert record["message"] == expected
+    assert not (tmp_path / "ds.json").exists()
+
+
+@pytest.mark.parametrize("field", ["sigma", "feature_noise"])
+def test_non_finite_dataset_noise_exits_5(workspace, tmp_path, capsys, field):
+    payload = read_json(workspace["ds"])
+    payload["grounder"][field] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "train", "--dataset", str(bad),
+                       "--out", str(tmp_path / "m.json"))
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert f"{field} must be finite and >= 0, got nan" in record["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag, model", [
+    ("rank", "--threshold", "rank"),
+    ("counterfactual", "--threshold", "rank"),
+    ("eval", "--threshold", "rank"),
+    ("foil", "--tau", "binary"),
+])
+def test_non_finite_threshold_exits_5(workspace, tmp_path, capsys, command,
+                                      flag, model, value):
+    code, _, err = run(capsys, command, "--dataset", workspace["ds"],
+                       "--model", workspace[model],
+                       "--out", str(tmp_path / "x.json"), f"{flag}={value}")
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == \
+        f"{flag} must be finite, got {float(value)}"
+    assert not (tmp_path / "x.json").exists()

@@ -5,12 +5,13 @@ import pytest
 
 from phrasecritic import grounding, textproc
 from phrasecritic.critic import CriticHyper, CriticModel, _sigmoid
-from phrasecritic.foil import (baseline_classify, build_foil_examples,
-                               classify, content_word_indices,
-                               correct_foil_word, detect_foil_word,
-                               run_foil_eval, train_foil_classifier, tune_tau,
-                               _critic_scorer, _first_max, _holdout_variants,
-                               _substitution_variants)
+from phrasecritic.foil import (FoilExample, baseline_classify,
+                               build_foil_examples, classify,
+                               content_word_indices, correct_foil_word,
+                               detect_foil_word, run_foil_eval,
+                               train_foil_classifier, tune_tau,
+                               _best_threshold, _critic_scorer, _first_max,
+                               _holdout_variants, _substitution_variants)
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import ATTRIBUTE_CATEGORIES
 
@@ -39,7 +40,7 @@ def holdout_detect(tokens, taxonomy, score_fn):
 
 def substitution_correct(tokens, foil_index, targets, score_fn):
     ordered, variants = _substitution_variants(tokens, foil_index, targets)
-    return _first_max(ordered, [score_fn(v) for v in variants])
+    return _first_max(ordered, [score_fn(list(v)) for v, _ in variants])
 
 
 # -- example building ----------------------------------------------------------
@@ -222,14 +223,9 @@ def test_tune_tau_degenerate_cases(tiny_dataset, scene_by_id):
     taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
     examples = build_foil_examples(tiny_dataset, "train")
 
-    class Hollow:
-        def __init__(self, scene_id):
-            self.scene_id = scene_id
-            self.tokens = ["this", "is", "a"]
-            self.label = False
-
     # no finite means at all
-    hollow = [Hollow(examples[0].scene_id)]
+    hollow = [FoilExample(examples[0].scene_id, ["this", "is", "a"], False,
+                          [])]
     assert tune_tau(hollow, scene_by_id, taxonomy, config) == 0.0
     # a single distinct mean: threshold sits one unit below it
     single = [examples[0], examples[0]]
@@ -238,6 +234,53 @@ def test_tune_tau_degenerate_cases(tiny_dataset, scene_by_id):
     seq = grounding.ground_all(phrases, scene_by_id[examples[0].scene_id],
                                taxonomy, config)
     assert tau == pytest.approx(grounding.mean_grounding_score(seq) - 1.0)
+
+
+def loop_best_threshold(means, labels):
+    """The threshold search as a loop over the midpoints, as it was before
+    it counted with searchsorted."""
+    finite = np.unique(means[np.isfinite(means)])
+    if len(finite) < 2:
+        return float(finite[0] - 1.0) if len(finite) else 0.0
+    midpoints = (finite[:-1] + finite[1:]) / 2.0
+    best_tau = None
+    best_acc = -1.0
+    for tau in midpoints:
+        acc = float(np.mean((means > tau) == labels))
+        if acc > best_acc:
+            best_acc = acc
+            best_tau = float(tau)
+    return best_tau
+
+
+@pytest.mark.parametrize("means, labels", [
+    ([], []),                                       # no means
+    ([2.0, 2.0, 2.0], [True, False, True]),         # all equal
+    ([-np.inf, -np.inf], [False, True]),            # no finite mean
+    ([1.0, 3.0], [True, False]),                    # two values, inverted
+    ([1.0, 3.0, 1.0, 3.0], [False, True, False, True]),
+    ([1.0, 1.0, 2.0, 2.0, 3.0, 3.0],                # ties across labels
+     [True, False, False, True, True, False]),
+    ([-np.inf, 0.5, 0.5, 1.5, -np.inf, 2.5],        # -inf on both sides
+     [True, False, True, True, False, False]),
+    ([0.1, 0.2, 0.3, 0.4], [True, False, True, False]),  # several optima
+])
+def test_best_threshold_equals_the_loop(means, labels):
+    means, labels = np.array(means, dtype=float), np.array(labels, dtype=bool)
+    got = _best_threshold(means, labels)
+    assert got == loop_best_threshold(means, labels)
+    assert type(got) is float
+
+
+def test_best_threshold_equals_the_loop_on_random_means():
+    rng = np.random.default_rng(0)
+    for n in range(1, 60):
+        # few distinct values, so ties are common; some -inf
+        means = rng.integers(-1, 6, size=n) / 2.0
+        means[means < 0] = -np.inf
+        labels = rng.random(n) < 0.5
+        assert _best_threshold(means, labels) == \
+            loop_best_threshold(means, labels)
 
 
 # -- end-to-end evaluation -----------------------------------------------------------

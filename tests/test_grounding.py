@@ -8,6 +8,7 @@ from phrasecritic import (SceneGrounder, chunk_sentence, ground_all,
 from phrasecritic.grounding import (GEOMETRY_DIMS, embed_phrase, feature_dim,
                                     mean_grounding_score, region_features,
                                     scene_features)
+from phrasecritic.textproc import apply_edits
 from phrasecritic.worldsim import GrounderConfig
 
 from conftest import assert_same_groundings
@@ -231,3 +232,59 @@ def test_mean_grounding_score_edge_cases(tiny_dataset):
                    scene, taxonomy, NOISELESS)
     assert mean_grounding_score(g) == \
         pytest.approx((g[0].score + g[1].score) / 2.0)
+
+
+def test_memoised_grounder_equals_fresh_grounding_in_any_order(tiny_dataset):
+    """One SceneGrounder per scene, fed the scene's sentences, their
+    hold-one-out variants and every same-category substitution, shuffled,
+    once one sentence at a time and once in batches of random sizes, with
+    both noises on: every sentence equals a fresh ground_all of it, and
+    every grounded phrase carries the caller's own phrase object."""
+    taxonomy = tiny_dataset.taxonomy
+    config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
+    rng = np.random.default_rng(0)
+    by_scene: dict[int, list] = {}
+    for sentence in tiny_dataset.sentences:
+        tokens = sentence.tokens
+        phrases = chunk_sentence(tokens, taxonomy)
+        variants = by_scene.setdefault(sentence.scene_id, [])
+        variants.append(phrases)
+        for i in range(len(tokens)):
+            variants.append(chunk_sentence(tokens[:i] + tokens[i + 1:],
+                                           taxonomy))
+            for alt in taxonomy.flip_pool(tokens[i]):
+                variants.append(apply_edits(tokens, phrases, [(i, alt)])[1])
+    checked = 0
+    for scene in tiny_dataset.scenes:
+        variants = by_scene[scene.scene_id]
+        want = [ground_all(p, scene, taxonomy, config) for p in variants]
+        # and without SceneGrounder: argmax over the noisy features, noise
+        # drawn at the phrase's index of the scene's stream
+        features = scene_features(scene, taxonomy, config)
+        noise = np.random.default_rng(
+            [config.seed, 2, scene.scene_id]).standard_normal(16)
+        for phrases, grounded in zip(variants, want):
+            for i, (p, g) in enumerate(zip(phrases, grounded)):
+                m = features[:, :taxonomy.vector_dim] @ embed_phrase(
+                    p, taxonomy)
+                best = int(np.argmax(m))
+                assert g.region_index == best
+                assert g.score == taxonomy.kappa[g.part] * min(
+                    float(m[best]), 1.0) + noise[i] * config.sigma
+        for batched in (False, True):
+            grounder = SceneGrounder(scene, taxonomy, config)
+            order = rng.permutation(len(variants))
+            got = {}
+            while len(got) < len(order):
+                size = int(rng.integers(1, 9)) if batched else 1
+                picked = order[len(got):len(got) + size]
+                for i, seq in zip(picked, grounder.ground_many(
+                        [variants[i] for i in picked])):
+                    got[i] = seq
+            for i, phrases in enumerate(variants):
+                assert_same_groundings(got[i], want[i])
+                for g, p in zip(got[i], phrases):
+                    assert g.phrase is p
+                    assert g.mention.base is None
+                checked += 1
+    assert checked > 5000

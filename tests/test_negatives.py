@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from phrasecritic import grounding, textproc
-from phrasecritic.negatives import (RankPair, _apply_edits,
-                                    _enumerate_space, _flip_counts,
+from phrasecritic.negatives import (RankPair, _enumerate_space, _flip_counts,
                                     _phrase_flips, _space_size,
                                     build_rank_pairs, contradicts_scene,
                                     ground_rank_pairs, make_negatives,
@@ -26,6 +25,10 @@ def first_gt_sentence(dataset, n_phrases=None):
         if n_phrases is None or len(phrases) == n_phrases:
             return sentence, splits[sentence.scene_id]
     raise AssertionError(f"no ground-truth sentence with {n_phrases} phrases")
+
+
+def _apply_edits(tokens, edits):
+    return textproc.apply_edits(tokens, (), edits)[0]
 
 
 # -- make_negatives -----------------------------------------------------------
