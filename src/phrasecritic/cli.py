@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -56,12 +57,23 @@ def _load_dataset(path: str) -> Dataset:
     return Dataset.load(_require_file(path))
 
 
-def _load_model(path: str, objective: str) -> CriticModel:
+def _load_model(path: str, objective: str, dataset: Dataset) -> CriticModel:
+    """The checkpoint, which must hold an objective critic built for the
+    dataset's lexicon: same vocabulary and feature width (exit 5)."""
     model = load_checkpoint(_require_file(path))
     if model.objective != objective:
         raise ConfigurationError(
             f"{path} holds a {model.objective} critic, but this command "
             f"needs a {objective} critic")
+    want = CriticModel.for_taxonomy(dataset.taxonomy)
+    if (model.vocab, model.feature_dim) != (want.vocab, want.feature_dim):
+        got, need = next((pair for pair in zip_longest(model.vocab, want.vocab)
+                          if pair[0] != pair[1]), (None, None))
+        raise ConfigurationError(
+            f"{path} was trained on another lexicon: {len(model.vocab)} "
+            f"tokens and feature width {model.feature_dim}, the dataset "
+            f"has {len(want.vocab)} and {want.feature_dim}; first differing "
+            f"token {got!r}, expected {need!r}")
     return model
 
 
@@ -163,7 +175,7 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model, "rank")
+    model = _load_model(args.model, "rank", dataset)
     lms = generation.fit_class_lms(dataset)
     scenes = _select_scenes(dataset, args)
     records = []
@@ -194,7 +206,7 @@ def cmd_rank(args) -> int:
 
 def cmd_counterfactual(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model, "rank")
+    model = _load_model(args.model, "rank", dataset)
     lms = generation.fit_class_lms(dataset)
     scenes = _select_scenes(dataset, args)
     records = []
@@ -232,7 +244,7 @@ def cmd_counterfactual(args) -> int:
 def cmd_foil(args) -> int:
     _require_finite("--tau", args.tau)
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model, "binary")
+    model = _load_model(args.model, "binary", dataset)
     report = foil.run_foil_eval(dataset, model, split=args.split,
                                 tau=args.tau)
     out = _resolve_out(args.out)
@@ -246,7 +258,7 @@ def cmd_foil(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args.dataset)
-    model = _load_model(args.model, "rank")
+    model = _load_model(args.model, "rank", dataset)
     _select_scenes(dataset, args)  # only to reject a bad --split or --limit
     lms = generation.fit_class_lms(dataset)
     report = metrics.compare_methods(

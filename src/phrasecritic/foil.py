@@ -9,11 +9,12 @@ ties).
 
 A foil sentence is chunked once; its restored original and substitutions
 take its phrases with one word swapped in (textproc.apply_edits), so only
-hold-one-out variants are chunked again. The evaluation grounds each
-example's variants (the sentence, then for a foil its hold-one-out variants
-and sorted substitutions) in one SceneGrounder call and scores them in one
-score_many call, one row per distinct token sequence, so coinciding
-variants tie exactly.
+hold-one-out variants are chunked again. The evaluation works one scene at
+a time: the variants of the scene's examples (each sentence, then for a
+foil its hold-one-out variants and sorted substitutions) are grounded in
+one SceneGrounder call and scored in one score_many call, one row per
+distinct token sequence, so coinciding variants tie exactly, within an
+example and across the examples of a scene.
 """
 
 from __future__ import annotations
@@ -280,50 +281,41 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
         tau = tune_tau(build_foil_examples(dataset, "train"), scenes,
                        taxonomy, config)
 
-    # The decisions of classify, baseline_classify, detect_foil_word and
-    # correct_foil_word. Each example's variants (the sentence, then for a
-    # foil its hold-outs and substitutions) are grounded in one call and
-    # scored in one critic call.
+    # The decisions of classify, detect_foil_word and correct_foil_word,
+    # then of the baseline. The variants of one scene's examples (each
+    # sentence, then for a foil its hold-outs and substitutions) are
+    # grounded in one call and scored in one critic call; the grounder
+    # memo is per scene, so each token tuple is one row of that call.
     grounders = grounding.scene_grounders(scenes, taxonomy, config)
-    cls_hits = base_cls_hits = 0
-    det_hits = base_det_hits = 0
-    cor_hits = base_cor_hits = 0
-    foils = 0
-    for ex in examples:
-        variants = [(tuple(ex.tokens), ex.phrases)]
-        if not ex.label:
-            candidates, held_out = _holdout_variants(ex.tokens, taxonomy)
-            targets, substituted = _substitution_variants(
-                ex.tokens, ex.foil_index,
-                taxonomy.flip_pool(ex.tokens[ex.foil_index]), ex.phrases)
-            variants += [(tuple(v), textproc.chunk_sentence(v, taxonomy))
-                         for v in held_out] + substituted
+    hits = [0] * 6
+    for scene_id, run in groupby(examples, lambda ex: ex.scene_id):
+        variants, tasks = [], []
+        for ex in run:
+            at, candidates, targets = len(variants), (), ()
+            variants.append((tuple(ex.tokens), ex.phrases))
+            if not ex.label:
+                candidates, held_out = _holdout_variants(ex.tokens, taxonomy)
+                targets, substituted = _substitution_variants(
+                    ex.tokens, ex.foil_index,
+                    taxonomy.flip_pool(ex.tokens[ex.foil_index]), ex.phrases)
+                variants += [(tuple(v), textproc.chunk_sentence(v, taxonomy))
+                             for v in held_out] + substituted
+            tasks.append((ex, at, candidates, targets))
         keys, sentences = zip(*variants)
-        seqs = grounders[ex.scene_id].ground_many(sentences)
-        critic = _critic_probs(model, keys, seqs)
-        baseline = [grounding.mean_grounding_score(seq) for seq in seqs]
-        cls_hits += (critic[0] > 0.5) == ex.label
-        base_cls_hits += (baseline[0] > tau) == ex.label
-        if ex.label:
-            continue
-        foils += 1
-        det = slice(1, 1 + len(candidates))
-        cor = slice(1 + len(candidates), None)
-        det_hits += _first_max(candidates, critic[det]) == ex.foil_index
-        base_det_hits += _first_max(candidates,
-                                    baseline[det]) == ex.foil_index
-        cor_hits += _first_max(targets, critic[cor]) == ex.correction
-        base_cor_hits += _first_max(targets, baseline[cor]) == ex.correction
+        seqs = grounders[scene_id].ground_many(sentences)
+        scored = ((_critic_probs(model, keys, seqs), 0.5),
+                  ([grounding.mean_grounding_score(q) for q in seqs], tau))
+        for ex, at, candidates, targets in tasks:
+            det = slice(at + 1, at + 1 + len(candidates))
+            cor = slice(det.stop, det.stop + len(targets))
+            for k, (scores, cut) in zip((0, 3), scored):
+                hits[k] += (scores[at] > cut) == ex.label
+                if not ex.label:
+                    hits[k + 1] += _first_max(candidates,
+                                              scores[det]) == ex.foil_index
+                    hits[k + 2] += _first_max(targets,
+                                              scores[cor]) == ex.correction
 
-    n = len(examples)
-    return FoilReport(
-        classification=cls_hits / n,
-        detection=det_hits / foils,
-        correction=cor_hits / foils,
-        baseline_classification=base_cls_hits / n,
-        baseline_detection=base_det_hits / foils,
-        baseline_correction=base_cor_hits / foils,
-        tau=float(tau),
-        num_examples=n,
-        num_foils=foils,
-    )
+    n, foils = len(examples), sum(not ex.label for ex in examples)
+    return FoilReport(*(h / d for h, d in zip(hits, (n, foils, foils) * 2)),
+                      tau=float(tau), num_examples=n, num_foils=foils)

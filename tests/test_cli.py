@@ -8,10 +8,10 @@ import pytest
 from phrasecritic.cli import (EXIT_BAD_CHECKPOINT, EXIT_BAD_CONFIG,
                               EXIT_MISSING_FILE, _from_args, build_parser,
                               main)
-from phrasecritic.critic import CriticHyper
+from phrasecritic.critic import CriticHyper, CriticModel
 from phrasecritic.explain import DEFAULT_FLUENCY_THRESHOLD
 from phrasecritic.jsonio import read_json
-from phrasecritic.worldsim import WorldConfig
+from phrasecritic.worldsim import Dataset, WorldConfig
 
 SYNTH_FLAGS = ["--classes", "3", "--scenes-per-class", "6",
                "--sentences-per-scene", "2", "--seed", "0"]
@@ -339,6 +339,49 @@ def test_checkpoint_objective_mismatch_exits_5(workspace, tmp_path, capsys,
     record = stderr_record(err)
     assert record["error"] == "ConfigurationError"
     assert "rank" in record["message"] and "binary" in record["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.fixture(scope="module")
+def other_lexicon_ds(tmp_path_factory):
+    """Worlds whose lexicon differs from the workspace checkpoints': with
+    the same feature width (9 colours, 3 sizes for 8 and 4) and with
+    another width (5 colours)."""
+    root = tmp_path_factory.mktemp("lexicon")
+    paths = {}
+    for kind, flags in (("same width", ["--colors", "9", "--sizes", "3"]),
+                        ("other width", ["--colors", "5"])):
+        paths[kind] = str(root / f"{kind.replace(' ', '_')}.json")
+        assert main(["synth", "--out", paths[kind]] + flags
+                    + SYNTH_FLAGS) == 0
+    return paths
+
+
+@pytest.mark.parametrize("command", ["rank", "counterfactual", "eval",
+                                     "foil"])
+@pytest.mark.parametrize("kind", ["same width", "other width"])
+def test_checkpoint_of_another_lexicon_exits_5(workspace, other_lexicon_ds,
+                                               tmp_path, capsys, command,
+                                               kind):
+    model = "binary" if command == "foil" else "rank"
+    ds = other_lexicon_ds[kind]
+    have = CriticModel.for_taxonomy(Dataset.load(workspace["ds"]).taxonomy)
+    need = CriticModel.for_taxonomy(Dataset.load(ds).taxonomy)
+    assert (have.feature_dim == need.feature_dim) == (kind == "same width")
+    assert have.vocab != need.vocab
+    got, expected = next((a, b) for a, b in zip(have.vocab, need.vocab)
+                         if a != b)
+    code, _, err = run(capsys, command, "--dataset", ds,
+                       "--model", workspace[model],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    record = stderr_record(err)
+    assert record["error"] == "ConfigurationError"
+    assert record["message"] == (
+        f"{workspace[model]} was trained on another lexicon: "
+        f"{len(have.vocab)} tokens and feature width {have.feature_dim}, "
+        f"the dataset has {len(need.vocab)} and {need.feature_dim}; "
+        f"first differing token {got!r}, expected {expected!r}")
     assert not (tmp_path / "x.json").exists()
 
 

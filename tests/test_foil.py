@@ -1,9 +1,11 @@
 """Foil tasks: example building, detection/correction logic, evaluation."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 
-from phrasecritic import grounding, textproc
+from phrasecritic import foil, grounding, textproc
 from phrasecritic.critic import CriticHyper, CriticModel, _sigmoid
 from phrasecritic.foil import (FoilExample, baseline_classify,
                                build_foil_examples, classify,
@@ -399,6 +401,80 @@ def test_run_foil_eval_hits_equal_one_row_scores(tiny_dataset, model,
                         scene) == ex.correction
     n, foils = len(examples), report.num_foils
     assert foils > 0 and 0 < hits[1] < foils
+    assert (report.classification, report.detection, report.correction) == \
+        (hits[0] / n, hits[1] / foils, hits[2] / foils)
+
+
+def test_per_scene_scoring_equals_per_example_scoring(tiny_dataset, model,
+                                                      scene_by_id,
+                                                      monkeypatch):
+    """run_foil_eval scores all variants of a scene in one score_many call.
+    Against each example's variants scored in their own call, every
+    probability agrees within 1e-12 and every decision is the same; a
+    foil's restoring substitution is the token tuple of the scene's
+    original sentence, shares its row and gets the identical probability."""
+    taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
+    calls, rows = [], []
+    critic_probs = foil._critic_probs
+
+    def recording_probs(model_, keys, seqs):
+        probs = critic_probs(model_, keys, seqs)
+        calls.append((list(keys), probs))
+        return probs
+
+    class RowCounter:
+        def score_many(self, sequences):
+            rows.append(len(sequences))
+            return model.score_many(sequences)
+
+    monkeypatch.setattr(foil, "_critic_probs", recording_probs)
+    report = run_foil_eval(tiny_dataset, RowCounter())
+    monkeypatch.undo()
+
+    examples = build_foil_examples(tiny_dataset, "test")
+    runs = [(scene_id, list(run)) for scene_id, run
+            in groupby(examples, lambda ex: ex.scene_id)]
+    assert len(calls) == len(rows) == len(runs) < len(examples)
+    hits, restored = [0, 0, 0], 0
+    for (scene_id, run), (keys, probs), n_rows in zip(runs, calls, rows):
+        scene = scene_by_id[scene_id]
+        per_scene = dict(zip(keys, probs))
+        assert [per_scene[k] for k in keys] == probs
+        grounder = grounding.SceneGrounder(scene, taxonomy, config)
+        assert n_rows == len({k for k in keys if grounder.ground_tokens(k)})
+        for ex in run:
+            variants = [ex.tokens]
+            if not ex.label:
+                candidates, held_out = _holdout_variants(ex.tokens, taxonomy)
+                targets, substituted = _substitution_variants(
+                    ex.tokens, ex.foil_index,
+                    taxonomy.flip_pool(ex.tokens[ex.foil_index]))
+                variants += held_out + [list(v) for v, _ in substituted]
+            own = _critic_scorer(model, grounding.SceneGrounder(
+                scene, taxonomy, config))(variants)
+            batched = [per_scene[tuple(v)] for v in variants]
+            assert np.allclose(batched, own, rtol=0.0, atol=1e-12)
+            assert (batched[0] > 0.5) == (own[0] > 0.5)
+            hits[0] += (own[0] > 0.5) == ex.label
+            if ex.label:
+                original = tuple(ex.tokens)
+                continue
+            det = slice(1, 1 + len(candidates))
+            cor = slice(det.stop, None)
+            assert _first_max(candidates, batched[det]) == \
+                _first_max(candidates, own[det])
+            assert _first_max(targets, batched[cor]) == \
+                _first_max(targets, own[cor])
+            hits[1] += _first_max(candidates, own[det]) == ex.foil_index
+            hits[2] += _first_max(targets, own[cor]) == ex.correction
+            restoring = tuple(variants[cor.start
+                                       + targets.index(ex.correction)])
+            assert restoring == original and keys.count(original) >= 2
+            assert {p for k, p in zip(keys, probs) if k == original} == \
+                {per_scene[original]}
+            restored += 1
+    n, foils = len(examples), report.num_foils
+    assert restored == foils > 0
     assert (report.classification, report.detection, report.correction) == \
         (hits[0] / n, hits[1] / foils, hits[2] / foils)
 

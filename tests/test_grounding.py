@@ -1,5 +1,8 @@
 """Grounding tests against a brute-force oracle."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +235,90 @@ def test_mean_grounding_score_edge_cases(tiny_dataset):
                    scene, taxonomy, NOISELESS)
     assert mean_grounding_score(g) == \
         pytest.approx((g[0].score + g[1].score) / 2.0)
+
+
+class Scored:
+    def __init__(self, score):
+        self.score = score
+
+
+def same_float(a, b):
+    """Equal bit for bit up to NaN payloads: -0.0 is not 0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SPECIAL_SCORES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25]
+
+
+def test_mean_grounding_score_equals_np_mean():
+    """The same float as np.mean at every length 1-9: every list of up to
+    three special values, then random magnitudes over 1e-6..1e6 of either
+    sign, every other list with specials mixed in."""
+    rng = np.random.default_rng(0)
+    cases = [list(c) for n in (1, 2, 3)
+             for c in itertools.product(SPECIAL_SCORES, repeat=n)]
+    for n in range(1, 10):
+        for trial in range(2000):
+            values = (rng.choice([-1.0, 1.0], n)
+                      * 10.0 ** rng.uniform(-6, 6, n)).tolist()
+            if trial % 2:
+                for i in rng.choice(n, rng.integers(1, n + 1), replace=False):
+                    values[i] = SPECIAL_SCORES[rng.integers(5)]
+            cases.append(values)
+    for values in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf in np.mean
+            got = mean_grounding_score([Scored(v) for v in values])
+            want = float(np.mean(values))
+        assert type(got) is float
+        assert same_float(got, want), (values, got, want)
+
+
+def frozen_region_features(region, taxonomy, noise, rng):
+    """region_features as it was when scene_features stacked one vector per
+    region; frozen here as the reference for the one-array fill."""
+    vec = np.zeros(taxonomy.vector_dim + GEOMETRY_DIMS)
+    index = taxonomy.vector_index
+    active = [index[tok] for tok in region.attrs.values() if tok in index]
+    active.append(index[region.part])
+    for dim in active:
+        vec[dim] = 1.0
+    if noise > 0.0:
+        for dim in active:
+            if rng.random() < noise:
+                vec[dim] = 0.0
+    vec[taxonomy.vector_dim:] = region.box
+    return vec
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_scene_features_equals_the_per_region_builder(tiny_dataset, noise,
+                                                      monkeypatch):
+    """Every scene's matrix equals the stacked frozen rows, and the
+    generator scene_features seeds ends in the frozen builder's state."""
+    taxonomy = tiny_dataset.taxonomy
+    config = GrounderConfig(sigma=0.0, feature_noise=noise, seed=7)
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed))
+                        or made[-1])
+    for scene in tiny_dataset.scenes:
+        rng = default_rng([config.seed, 1, scene.scene_id])
+        want = np.stack([frozen_region_features(r, taxonomy, noise, rng)
+                         for r in scene.regions])
+        made.clear()
+        got = scene_features(scene, taxonomy, config)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if noise == 0.0:
+            assert made == []
+            continue
+        assert made[-1].bit_generator.state == rng.bit_generator.state
+        alone = default_rng([config.seed, 1, scene.scene_id])
+        for i, region in enumerate(scene.regions):
+            assert np.array_equal(
+                region_features(region, taxonomy, noise, alone), want[i])
+        assert alone.bit_generator.state == rng.bit_generator.state
 
 
 def test_memoised_grounder_equals_fresh_grounding_in_any_order(tiny_dataset):

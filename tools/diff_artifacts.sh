@@ -9,8 +9,10 @@
 # and --pairs-out (several positives per scene), binary training (batch
 # 16, hidden 16) with --report-out, then rank, rank --error-rate 0, rank
 # --error-rate 1 --candidates 30 (every mention from the scene, then from
-# the class prior), counterfactual, eval, eval --limit 5, foil, and foil
-# --split val --tau 0.5 (a given threshold on a second split). synth
+# the class prior), counterfactual, eval, eval --limit 5, foil, foil
+# --split val --tau 0.5 (a given threshold on a second split), and foil
+# --split train (tau tuned; the split with the most scenes, hence the
+# most per-scene scoring batches). synth
 # (every scene) and rank also write --emit-svg directories.
 # Every artifact is compared with cmp and each SVG directory with diff -r;
 # the exit status is non-zero if any command fails or any output differs.
@@ -33,7 +35,8 @@ trap 'rm -rf "$work"' EXIT
 
 ARTIFACTS="dataset pairs critic train_report pairs_ps3 critic_ps3
 foil_critic foil_train_report ranked ranked_err0 ranked_err1
-counterfactuals metrics metrics_limit5 foil_report foil_report_val"
+counterfactuals metrics metrics_limit5 foil_report foil_report_val
+foil_report_train"
 
 build() {
     local src=$1/src out=$2
@@ -68,6 +71,8 @@ build() {
         --out "$out/foil_report.json"
     pc foil --dataset "$ds" --model "$out/foil_critic.json" --split val \
         --tau 0.5 --out "$out/foil_report_val.json"
+    pc foil --dataset "$ds" --model "$out/foil_critic.json" --split train \
+        --out "$out/foil_report_train.json"
 }
 
 for checkout in "$old" "$new"; do
