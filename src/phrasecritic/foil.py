@@ -287,7 +287,7 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
     # grounded in one call and scored in one critic call; the grounder
     # memo is per scene, so each token tuple is one row of that call.
     grounders = grounding.scene_grounders(scenes, taxonomy, config)
-    hits = [0] * 6
+    hits = [0] * 6  # the numerators of FoilReport's six accuracies, in order
     for scene_id, run in groupby(examples, lambda ex: ex.scene_id):
         variants, tasks = [], []
         for ex in run:

@@ -99,7 +99,7 @@ def _region_rows(regions, taxonomy, noise, rng) -> np.ndarray:
         cols += active
     features[rows, cols] = 1.0
     if noise > 0.0:
-        drop = np.array([rng.random() < noise for _ in cols], dtype=bool)
+        drop = rng.random(len(cols)) < noise  # the values of len(cols) calls
         features[np.array(rows)[drop], np.array(cols)[drop]] = 0.0
     features[:, taxonomy.vector_dim:] = [r.box for r in regions]
     return features
