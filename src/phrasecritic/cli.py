@@ -37,13 +37,17 @@ EXIT_BAD_CHECKPOINT = 4
 EXIT_BAD_CONFIG = 5
 
 
-def _resolve_out(path: str) -> str:
-    outdir = os.environ.get("PHRASECRITIC_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+def _resolve_out(path: str, directory: bool = False) -> str:
+    """The output path, its directory (a file's parent) made; a file path
+    that is a directory, or any path under a file, raises ValueError."""
+    path = os.path.join(os.environ.get("PHRASECRITIC_OUTDIR", ""), path)
+    if os.path.isdir(path) and not directory:
+        raise ValueError(f"output path {path} is a directory")
+    try:
+        os.makedirs(path if directory else os.path.dirname(path) or ".",
+                    exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"output path {path} lies under a file") from exc
     return path
 
 
@@ -120,7 +124,6 @@ def _from_args(cls, args):
 
 
 def _emit_scene_svgs(directory: str, items) -> None:
-    os.makedirs(directory, exist_ok=True)
     for scene, highlight in items:
         path = os.path.join(directory, f"scene_{scene.scene_id:05d}.svg")
         render.write_svg(path, scene, highlight)
@@ -130,12 +133,12 @@ def _emit_scene_svgs(directory: str, items) -> None:
 
 def cmd_synth(args) -> int:
     _require_at_least("--svg-limit", args.svg_limit, 0)
-    config = _from_args(WorldConfig, args)
-    dataset = generate_dataset(config, args.seed)
     out = _resolve_out(args.out)
+    svg_dir = args.emit_svg and _resolve_out(args.emit_svg, directory=True)
+    dataset = generate_dataset(_from_args(WorldConfig, args), args.seed)
     dataset.save(out)
-    if args.emit_svg:
-        _emit_scene_svgs(_resolve_out(args.emit_svg),
+    if svg_dir:
+        _emit_scene_svgs(svg_dir,
                          [(s, ()) for s in dataset.scenes[:args.svg_limit]])
     print(f"wrote {len(dataset.scenes)} scenes, "
           f"{len(dataset.sentences)} sentences to {out}")
@@ -145,6 +148,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     _require_at_least("--pair-sentences", args.pair_sentences, 1)
     _require_at_least("--pairs-per-scene", args.pairs_per_scene, 1)
+    out, pairs_out, report_out = (path and _resolve_out(path) for path in (
+        args.out, args.pairs_out, args.report_out))
     dataset = _load_dataset(args.dataset)
     hyper = _from_args(CriticHyper, args)
     if args.objective == "rank":
@@ -156,15 +161,13 @@ def cmd_train(args) -> int:
                                          objective="rank")
         report = train_ranker(model, grouped.get("train", []),
                               grouped.get("val"), seed=args.seed)
-        if args.pairs_out:
-            write_json(_resolve_out(args.pairs_out),
-                       negatives.pairs_to_json(pairs))
+        if pairs_out:
+            write_json(pairs_out, negatives.pairs_to_json(pairs))
     else:
         model, report = foil.train_foil_classifier(dataset, hyper, args.seed)
-    out = _resolve_out(args.out)
     save_checkpoint(model, out)
-    if args.report_out:
-        write_json(_resolve_out(args.report_out),
+    if report_out:
+        write_json(report_out,
                    report.to_json(include_timing=args.include_timing))
     final_val = report.val_metric[-1] if report.val_metric else float("nan")
     print(f"trained {args.objective} critic for {report.epochs} epochs, "
@@ -174,6 +177,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    out = _resolve_out(args.out)
+    svg_dir = args.emit_svg and _resolve_out(args.emit_svg, directory=True)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "rank", dataset)
     lms = generation.fit_class_lms(dataset)
@@ -188,16 +193,15 @@ def cmd_rank(args) -> int:
             candidates, scene, model, dataset.taxonomy, dataset.grounder,
             args.threshold)
         records.append(explain.explanation_to_json(explanation, scene))
-        if args.emit_svg:
+        if svg_dir:
             svg_items.append(
                 (scene, tuple(g.part for g in explanation.groundings)))
-    out = _resolve_out(args.out)
     write_json(out, {"format": 1, "threshold": args.threshold,
                      "candidates": args.candidates,
                      "error_rate": args.error_rate, "seed": args.seed,
                      "explanations": records})
-    if args.emit_svg:
-        _emit_scene_svgs(_resolve_out(args.emit_svg), svg_items)
+    if svg_dir:
+        _emit_scene_svgs(svg_dir, svg_items)
     fallbacks = sum(r["fallback"] for r in records)
     print(f"wrote {len(records)} explanations ({fallbacks} fallbacks) "
           f"to {out}")
@@ -205,6 +209,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_counterfactual(args) -> int:
+    out = _resolve_out(args.out)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "rank", dataset)
     lms = generation.fit_class_lms(dataset)
@@ -233,7 +238,6 @@ def cmd_counterfactual(args) -> int:
                 {"text": textproc.phrase_to_text(p), "score": s}
                 for p, s in zip(explanation.phrases, scores)],
         })
-    out = _resolve_out(args.out)
     write_json(out, {"format": 1, "candidates": args.candidates,
                      "error_rate": args.error_rate, "seed": args.seed,
                      "counterfactuals": records})
@@ -243,11 +247,11 @@ def cmd_counterfactual(args) -> int:
 
 def cmd_foil(args) -> int:
     _require_finite("--tau", args.tau)
+    out = _resolve_out(args.out)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "binary", dataset)
     report = foil.run_foil_eval(dataset, model, split=args.split,
                                 tau=args.tau)
-    out = _resolve_out(args.out)
     write_json(out, report.to_json())
     if args.table:
         print(report.to_table())
@@ -257,6 +261,7 @@ def cmd_foil(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _resolve_out(args.out)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "rank", dataset)
     _select_scenes(dataset, args)  # only to reject a bad --split or --limit
@@ -265,7 +270,6 @@ def cmd_eval(args) -> int:
         dataset, model, lms, n=args.candidates, error_rate=args.error_rate,
         seed=args.seed, threshold=args.threshold, split=args.split,
         limit=args.limit)
-    out = _resolve_out(args.out)
     write_json(out, report.to_json())
     if args.table:
         print(report.cnp_cs_table())

@@ -494,7 +494,7 @@ def save_checkpoint(model: CriticModel, path) -> None:
         "hyper": model.hyper.to_json(),
         "params": {
             name: {"shape": list(arr.shape),
-                   "data": [float(v) for v in arr.ravel()]}
+                   "data": arr.ravel().tolist()}
             for name, arr in model.params.items()
         },
     }

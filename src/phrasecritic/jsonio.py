@@ -1,24 +1,51 @@
 """Canonical JSON helpers.
 
-All files the pipeline writes go through dump_canonical so that reruns with
-the same seed produce byte-identical output (sorted keys, fixed separators,
-trailing newline, floats via repr round-trip).
+Every file the pipeline writes goes through write_json, whose bytes are
+dumps_canonical's (sorted keys, two-space indent, trailing newline, floats
+via repr round-trip), so reruns with the same seed are byte-identical.
+Writes stream into <path>.tmp, which then replaces the target: memory stays
+flat and a failed write leaves the old file. Large loads pause the cyclic
+GC (gc_paused); decoding makes no reference cycles for it to find.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
-from pathlib import Path
+import os
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(_ENCODER.iterencode(obj))
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
 
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Disable the cyclic garbage collector; restore its state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -83,18 +83,9 @@ def _space_size(per_phrase, counts) -> int:
     return size
 
 
-def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
-                   seed=0) -> list[list[str]]:
-    """Mine up to k distinct negatives for a sentence's token list.
-
-    Each negative flips one token in each of one or two phrases (flip count
-    uniform, at least one phrase left untouched when possible). Duplicates
-    of the positive or of each other are rejected. The flip space holds no
-    duplicates and never the positive, so sampling stops as soon as it has
-    found min(k, |space|) negatives; only if its budget runs out first is
-    the space enumerated for the rest. The result always has exactly
-    min(k, |space|) entries.
-    """
+def iter_negatives(tokens, taxonomy: Taxonomy, k: int = 10, seed=0):
+    """make_negatives' negatives in order, each drawn when it is asked for,
+    so a caller that stops early skips the draws it would not use."""
     if k < 1:
         raise ValueError("k must be positive")
     rng = np.random.default_rng(seed)
@@ -107,10 +98,9 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
     flippable = [i for i in range(len(phrases)) if per_phrase[i]]
     wanted = min(k, _space_size(per_phrase, counts))
 
-    seen = {positive}
-    negatives: list[list[str]] = []
+    seen = {positive}  # and every negative yielded so far
     budget = 60 * k
-    while len(negatives) < wanted and budget > 0:
+    while len(seen) - 1 < wanted and budget > 0:
         budget -= 1
         n_flip = min(counts[int(rng.integers(len(counts)))], len(flippable))
         if n_flip == 0:
@@ -124,19 +114,32 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
         negative, _ = textproc.apply_edits(positive, (), edits)
         if negative not in seen:
             seen.add(negative)
-            negatives.append(list(negative))
+            yield list(negative)
 
-    if len(negatives) < wanted:
-        # Rejection sampling exhausted its budget before finding them all:
-        # enumerate the space for the rest.
+    if len(seen) - 1 < wanted:
+        # The sampling budget ran out first: enumerate the space for the rest.
         for edits in _enumerate_space(phrases, taxonomy, len(phrases)):
             negative, _ = textproc.apply_edits(positive, (), edits)
             if negative not in seen:
                 seen.add(negative)
-                negatives.append(list(negative))
-                if len(negatives) == k:
+                yield list(negative)
+                if len(seen) - 1 == k:
                     break
-    return negatives
+
+
+def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
+                   seed=0) -> list[list[str]]:
+    """Mine up to k distinct negatives for a sentence's token list.
+
+    Each negative flips one token in each of one or two phrases (flip count
+    uniform, at least one phrase left untouched when possible). Duplicates
+    of the positive or of each other are rejected. The flip space holds no
+    duplicates and never the positive, so sampling stops as soon as it has
+    found min(k, |space|) negatives; only if its budget runs out first is
+    the space enumerated for the rest. The result always has exactly
+    min(k, |space|) entries.
+    """
+    return list(iter_negatives(tokens, taxonomy, k, seed))
 
 
 def contradicts_scene(tokens, scene: Scene, taxonomy: Taxonomy,
@@ -159,8 +162,9 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
     """Build (positive, negative) pairs for every scene's true sentences.
 
     Negatives that fail to contradict the scene (a noun flip can land on a
-    part that really has the attribute) are discarded, so extra candidates
-    are mined and the first k contradicting ones kept.
+    part that really has the attribute) are discarded, so up to 3k
+    candidates are mined and the first k contradicting ones kept; mining
+    stops at the k-th.
     """
     gt_by_scene: dict[int, list] = {}
     for sentence in dataset.sentences:
@@ -171,14 +175,11 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
     for scene in dataset.scenes:
         for sentence in gt_by_scene.get(scene.scene_id, [])[:sentences_per_scene]:
             rng = np.random.default_rng([seed, 5, scene.scene_id])
-            mined = make_negatives(sentence.tokens, taxonomy=dataset.taxonomy,
-                                   k=3 * k, seed=rng)
             phrases = textproc.chunk_sentence(sentence.tokens,
                                               dataset.taxonomy)
             kept = 0
-            for negative in mined:
-                if kept == k:
-                    break
+            for negative in iter_negatives(sentence.tokens, dataset.taxonomy,
+                                           k=3 * k, seed=rng):
                 flips = tuple(i for i, (a, b)
                               in enumerate(zip(sentence.tokens, negative))
                               if a != b)
@@ -189,6 +190,8 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
                 pairs.append(RankPair(scene.scene_id, list(sentence.tokens),
                                       negative, flips, scene.split))
                 kept += 1
+                if kept == k:
+                    break
     return pairs
 
 

@@ -637,3 +637,62 @@ def test_non_finite_threshold_exits_5(workspace, tmp_path, capsys, command,
     assert stderr_record(err)["message"] == \
         f"{flag} must be finite, got {float(value)}"
     assert not (tmp_path / "x.json").exists()
+
+
+def _no_load(path):
+    raise AssertionError(f"{path} was loaded")
+
+
+OUT_PATH_CASES = [
+    ("train", "--out"), ("train", "--pairs-out"), ("train", "--report-out"),
+    ("synth", "--out"), ("rank", "--out"), ("counterfactual", "--out"),
+    ("eval", "--out"), ("foil", "--out"),
+]
+
+
+def _out_argv(workspace, tmp_path, command, flag, path):
+    """command's argv with flag set to path; --out, if that is another
+    flag, goes to tmp_path / "m.json"."""
+    if command == "synth":
+        argv = ["synth"] + SYNTH_FLAGS
+    elif command == "train":
+        argv = ["train", "--dataset", workspace["ds"], "--epochs", "1"]
+    else:
+        argv = [command, "--dataset", workspace["ds"], "--model",
+                workspace["binary" if command == "foil" else "rank"]]
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "m.json")]
+    return argv + [flag, str(path)]
+
+
+@pytest.mark.parametrize("command, flag", OUT_PATH_CASES)
+def test_out_path_that_is_a_directory_exits_5(workspace, tmp_path, capsys,
+                                              monkeypatch, command, flag):
+    """Rejected before the dataset is loaded or generated: a call that got
+    that far would fail with exit 1 on the stubs."""
+    monkeypatch.setattr("phrasecritic.cli._load_dataset", _no_load)
+    monkeypatch.setattr("phrasecritic.cli.generate_dataset", _no_load)
+    target = tmp_path / "sub" / "taken"
+    target.mkdir(parents=True)
+    argv = _out_argv(workspace, tmp_path, command, flag, target)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == \
+        f"output path {target} is a directory"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub", "taken"]
+
+
+@pytest.mark.parametrize("command, flag", OUT_PATH_CASES)
+def test_out_path_under_a_file_exits_5(workspace, tmp_path, capsys,
+                                       monkeypatch, command, flag):
+    monkeypatch.setattr("phrasecritic.cli._load_dataset", _no_load)
+    monkeypatch.setattr("phrasecritic.cli.generate_dataset", _no_load)
+    (tmp_path / "plain").write_text("not a directory\n")
+    target = tmp_path / "plain" / "sub" / "x.json"
+    argv = _out_argv(workspace, tmp_path, command, flag, target)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == \
+        f"output path {target} lies under a file"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["plain"]
+    assert (tmp_path / "plain").read_text() == "not a directory\n"

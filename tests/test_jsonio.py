@@ -1,6 +1,13 @@
+import gc
 import json
+import tracemalloc
 
-from phrasecritic.jsonio import dumps_canonical, read_json, write_json
+import pytest
+
+from phrasecritic.cli import EXIT_BAD_CONFIG, main
+from phrasecritic.jsonio import (dumps_canonical, gc_paused, read_json,
+                                 write_json)
+from phrasecritic.worldsim import Dataset
 
 
 def test_keys_are_sorted_and_output_ends_with_newline():
@@ -28,3 +35,104 @@ def test_write_then_read_round_trip(tmp_path):
     assert read_json(path) == obj
     write_json(tmp_path / "again.json", read_json(path))
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+# -- streamed, atomic writes -----------------------------------------------------
+
+def _nested(depth):
+    obj = {"leaf": [1, -0.0]}
+    for i in range(depth):
+        obj = {"level": i, "next": [obj, {}]}
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    {"special": [float("nan"), float("inf"), float("-inf"), -0.0, 1e-17,
+                 0.1, 2.0 / 3.0, 1e300, -5, 0]},
+    {"text": ["héllo", "日本", "\x00\x01\x1f\x7f\t\n\r",
+              "quote \" backslash \\ slash /", " 😀", ""]},
+    {"z": {}, "a": [], "m": [{}, [], [[]], {"": None}], "b": [True, False]},
+    _nested(60),
+    "a top-level string é",
+    [1, "two", 3.5, None, [], {"k": "v"}],
+    {}, [],
+], ids=["floats", "strings", "empties", "deep", "str", "list", "dict0",
+        "list0"])
+def test_write_json_bytes_are_json_dumps(tmp_path, obj):
+    path = tmp_path / "obj.json"
+    write_json(path, obj)
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    assert dumps_canonical(obj) == want
+    assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
+
+
+def test_write_json_memory_does_not_grow_with_the_document(tmp_path):
+    obj = {"rows": [[i / 7.0, f"token{i}", {"id": i}]
+                    for i in range(30_000)]}
+    size = len(dumps_canonical(obj))
+    assert size >= 2_000_000
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "big.json", obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4
+    assert (tmp_path / "big.json").stat().st_size == size
+
+
+def test_failed_write_leaves_the_old_target(tmp_path):
+    path = tmp_path / "obj.json"
+    write_json(path, {"kept": [1, 2, 3]})
+    before = path.read_bytes()
+    # sorted keys put the bad value last, after chunks reached the temp file
+    with pytest.raises(TypeError):
+        write_json(path, {"a": list(range(5000)), "z": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
+
+
+# -- loads with the cyclic GC paused ---------------------------------------------
+
+def test_dataset_load_runs_with_the_gc_paused(tmp_path, tiny_dataset,
+                                              monkeypatch):
+    path = tmp_path / "ds.json"
+    tiny_dataset.save(path)
+    seen = []
+    check = Dataset._check_references
+
+    def spy(self):
+        seen.append(gc.isenabled())
+        check(self)
+
+    monkeypatch.setattr(Dataset, "_check_references", spy)
+    assert gc.isenabled()
+    loaded = Dataset.load(path)
+    assert seen == [False] and gc.isenabled()
+    assert dumps_canonical(loaded.to_json()) == path.read_text()
+
+
+def test_gc_state_is_restored_after_a_failed_load(tmp_path, tiny_dataset):
+    bad = tmp_path / "bad.json"
+    payload = tiny_dataset.to_json()
+    del payload["scenes"]
+    bad.write_text(json.dumps(payload))
+    assert gc.isenabled()
+    assert main(["train", "--dataset", str(bad),
+                 "--out", str(tmp_path / "m.json")]) == EXIT_BAD_CONFIG
+    assert gc.isenabled()
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_gc_stays_disabled_when_it_was(tmp_path, tiny_dataset):
+    path = tmp_path / "ds.json"
+    tiny_dataset.save(path)
+    gc.disable()
+    try:
+        Dataset.load(path)
+        with gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -11,7 +11,8 @@ from phrasecritic.negatives import (RankPair, _enumerate_space, _flip_counts,
                                     build_rank_pairs, contradicts_scene,
                                     ground_rank_pairs, make_negatives,
                                     pairs_to_json)
-from phrasecritic.worldsim import GrounderConfig, Region, Scene
+from phrasecritic.worldsim import (GrounderConfig, Region, Scene,
+                                   generate_dataset)
 
 from conftest import assert_same_groundings, load_schema
 
@@ -244,6 +245,45 @@ def test_build_rank_pairs_properties(tiny_dataset, scene_by_id):
         per_scene[pair.scene_id] = per_scene.get(pair.scene_id, 0) + 1
     assert max(per_scene.values()) <= 4
     assert set(per_scene) == {s.scene_id for s in tiny_dataset.scenes}
+
+
+def eager_rank_pairs(dataset, k, seed):
+    """build_rank_pairs as it was before mining became lazy: the reference
+    sampler mines all 3k negatives for each scene's first true sentence,
+    then the first k that contradict the scene (phrases chunked from the
+    negative) are kept."""
+    firsts = {s.scene_id: s for s in first_gt_sentences(dataset)}
+    pairs = []
+    for scene in dataset.scenes:
+        positive = firsts[scene.scene_id].tokens
+        mined = reference_make_negatives(positive, dataset.taxonomy, 3 * k,
+                                         [seed, 5, scene.scene_id])
+        kept = [n for n in mined
+                if contradicts_scene(n, scene, dataset.taxonomy)][:k]
+        for negative in kept:
+            flips = tuple(i for i, (a, b) in enumerate(zip(positive, negative))
+                          if a != b)
+            pairs.append(RankPair(scene.scene_id, list(positive), negative,
+                                  flips, scene.split))
+    return pairs
+
+
+@pytest.mark.parametrize("world_seed", range(10))
+def test_build_rank_pairs_matches_eager_mining(tiny_config, world_seed):
+    """Stopping at the k-th kept negative changes no pair, also where the
+    flip space holds fewer than 3k negatives."""
+    dataset = generate_dataset(tiny_config, seed=world_seed)
+    small_spaces = 0
+    for k in (1, 3, 10):
+        assert build_rank_pairs(dataset, k=k, seed=world_seed) == \
+            eager_rank_pairs(dataset, k, world_seed)
+        for sentence in first_gt_sentences(dataset):
+            phrases = textproc.chunk_sentence(sentence.tokens,
+                                              dataset.taxonomy)
+            small_spaces += _space_size(
+                [_phrase_flips(p, dataset.taxonomy) for p in phrases],
+                _flip_counts(len(phrases))) < 3 * k
+    assert small_spaces > 0
 
 
 def test_build_rank_pairs_deterministic(tiny_dataset):
