@@ -39,7 +39,7 @@ EXIT_BAD_CONFIG = 5
 
 def _resolve_out(path: str, directory: bool = False) -> str:
     """The output path, its directory (a file's parent) made; a file path
-    that is a directory, or any path under a file, raises ValueError."""
+    that is a directory, or a file in the way, raises ValueError."""
     path = os.path.join(os.environ.get("PHRASECRITIC_OUTDIR", ""), path)
     if os.path.isdir(path) and not directory:
         raise ValueError(f"output path {path} is a directory")
@@ -47,7 +47,7 @@ def _resolve_out(path: str, directory: bool = False) -> str:
         os.makedirs(path if directory else os.path.dirname(path) or ".",
                     exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise ValueError(f"output path {path} lies under a file") from exc
+        raise ValueError(f"a file blocks the output path {path}") from exc
     return path
 
 

@@ -693,6 +693,6 @@ def test_out_path_under_a_file_exits_5(workspace, tmp_path, capsys,
     code, _, err = run(capsys, *argv)
     assert code == EXIT_BAD_CONFIG
     assert stderr_record(err)["message"] == \
-        f"output path {target} lies under a file"
+        f"a file blocks the output path {target}"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["plain"]
     assert (tmp_path / "plain").read_text() == "not a directory\n"

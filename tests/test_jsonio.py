@@ -37,7 +37,7 @@ def test_write_then_read_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-# -- streamed, atomic writes -----------------------------------------------------
+# -- streamed, atomic writes ---------------------------------------------------
 
 def _nested(depth):
     obj = {"leaf": [1, -0.0]}
@@ -93,7 +93,7 @@ def test_failed_write_leaves_the_old_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
 
 
-# -- loads with the cyclic GC paused ---------------------------------------------
+# -- loads with the cyclic GC paused -------------------------------------------
 
 def test_dataset_load_runs_with_the_gc_paused(tmp_path, tiny_dataset,
                                               monkeypatch):

@@ -13,7 +13,8 @@ takes seeds first_seed + j * pairs onward, so no two workloads share one.
 From each run it reads the JSON line run.py prints last (attempted and
 failed calls, the end-to-end metrics) and the result file run.py leaves in
 its checkout's bench/out/results/ (the per-subcommand times, the named rate
-and the uncalibrated medians). It writes nothing under either checkout.
+and the uncalibrated medians). Apart from what run.py itself leaves in
+bench/out/, it writes only the --out file.
 
 The output has the layout of the BENCH_<sha>.json files at the repository
 root: per workload the seeds, which side ran first, attempted and failed
@@ -22,7 +23,8 @@ median and quartiles (statistics.quantiles, n=4) and the pairs the change
 won (ties count for neither side); raw_median_s holds each run's
 uncalibrated medians and the pairs in which the change's was lower. A
 metric in seconds or MB is better lower, a rate higher. The file is
-rewritten after every pair, so an interrupted session keeps what it ran.
+rewritten after every pair, so an interrupted run keeps the pairs it
+finished.
 """
 
 import argparse
@@ -60,11 +62,11 @@ def quartiles(values) -> dict:
 def summarise(runs) -> dict:
     """One workload's section from its pairs' runs, {side: [(summary,
     result), ...]} in pair order, with its seeds and first sides."""
-    side = {s: runs[s] for s in SIDES}
     section = {
         "seeds": runs["seeds"], "first": runs["first"],
-        "attempted": {s: [r[0]["attempted"] for r in side[s]] for s in SIDES},
-        "failed": {s: [r[0]["failed"] for r in side[s]] for s in SIDES},
+        "attempted": {s: [r[0]["attempted"] for r in runs[s]]
+                      for s in SIDES},
+        "failed": {s: [r[0]["failed"] for r in runs[s]] for s in SIDES},
         "metrics": {}, "raw_median_s": {},
     }
 
@@ -76,7 +78,7 @@ def summarise(runs) -> dict:
                       for k, m in result["by_op"].items())
         return values
 
-    values = {s: [metric_values(r) for r in side[s]] for s in SIDES}
+    values = {s: [metric_values(r) for r in runs[s]] for s in SIDES}
     for name, (_, unit) in sorted(values["parent"][0].items()):
         better = "lower" if unit in ("s", "MB") else "higher"
         per = {s: [v[name][0] for v in values[s]] for s in SIDES}
@@ -88,8 +90,8 @@ def summarise(runs) -> dict:
                 entry[f"{s}_stats"] = quartiles(per[s])
         section["metrics"][name] = entry
 
-    for name in sorted(side["parent"][0][1]["raw_median_s"]):
-        per = {s: [r[1]["raw_median_s"][name] for r in side[s]]
+    for name in sorted(runs["parent"][0][1]["raw_median_s"]):
+        per = {s: [r[1]["raw_median_s"][name] for r in runs[s]]
                for s in SIDES}
         section["raw_median_s"][name] = {
             **per,
