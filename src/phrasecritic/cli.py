@@ -38,8 +38,7 @@ EXIT_BAD_CONFIG = 5
 
 
 def _resolve_out(path: str, directory: bool = False) -> str:
-    """The output path, its directory (a file's parent) made; a file path
-    that is a directory, or a file in the way, raises ValueError."""
+    """The path, its directory made; ValueError if a dir or file blocks it."""
     path = os.path.join(os.environ.get("PHRASECRITIC_OUTDIR", ""), path)
     if os.path.isdir(path) and not directory:
         raise ValueError(f"output path {path} is a directory")

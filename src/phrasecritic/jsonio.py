@@ -3,17 +3,18 @@
 Every file the pipeline writes goes through write_json, whose bytes are
 dumps_canonical's (sorted keys, two-space indent, trailing newline, floats
 via repr round-trip), so reruns with the same seed are byte-identical.
-Writes stream into <path>.tmp, which then replaces the target: memory stays
-flat and a failed write leaves the old file. Large loads pause the cyclic
-GC (gc_paused); decoding makes no reference cycles for it to find.
+Writes stream into a new <name>.tmp that then replaces a new or regular
+file (behind any symlink) with its old mode, so a failed write leaves it;
+a FIFO, a device, or a file in an unwritable directory is written through.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gc
+import itertools
 import json
 import os
+import shutil
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
@@ -23,29 +24,31 @@ def dumps_canonical(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+    target = os.path.realpath(path)
+    if os.path.exists(path) and not (
+            os.path.isfile(path)
+            and os.access(os.path.dirname(target), os.W_OK)):
+        with open(path, "w", encoding="utf-8") as fh:  # write through
             fh.writelines(_ENCODER.iterencode(obj))
             fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
+        return
+    for n in itertools.count():  # <target>.tmp, or .tmp1, ... if taken
+        tmp = f"{target}.tmp{n or ''}"
+        with contextlib.suppress(FileExistsError):
+            fh = open(tmp, "x", encoding="utf-8")  # mode from the umask
+            break
+    try:
+        with fh:
+            fh.writelines(_ENCODER.iterencode(obj))
+            fh.write("\n")
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-@contextlib.contextmanager
-def gc_paused():
-    """Disable the cyclic garbage collector; restore its state on exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()

@@ -162,9 +162,8 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
     """Build (positive, negative) pairs for every scene's true sentences.
 
     Negatives that fail to contradict the scene (a noun flip can land on a
-    part that really has the attribute) are discarded, so up to 3k
-    candidates are mined and the first k contradicting ones kept; mining
-    stops at the k-th.
+    part that really has the attribute) are discarded; of up to 3k mined
+    candidates the first k contradicting ones are kept, mining no further.
     """
     gt_by_scene: dict[int, list] = {}
     for sentence in dataset.sentences:

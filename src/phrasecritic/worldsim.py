@@ -15,7 +15,7 @@ import numpy as np
 
 from . import textproc
 from .errors import ConfigurationError, GenerationError
-from .jsonio import gc_paused, read_json, write_json
+from .jsonio import read_json, write_json
 
 PARTS = ("beak", "head", "belly", "eye", "wing", "feet", "neck", "body")
 
@@ -436,8 +436,7 @@ class Dataset:
 
     @classmethod
     def load(cls, path) -> "Dataset":
-        with gc_paused():
-            return cls.from_json(read_json(path))
+        return cls.from_json(read_json(path))
 
 
 def _check_attributes(record: str, attrs, tokens) -> None:

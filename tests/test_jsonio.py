@@ -1,13 +1,13 @@
-import gc
 import json
+import os
+import stat
+import threading
 import tracemalloc
 
 import pytest
 
-from phrasecritic.cli import EXIT_BAD_CONFIG, main
-from phrasecritic.jsonio import (dumps_canonical, gc_paused, read_json,
-                                 write_json)
-from phrasecritic.worldsim import Dataset
+from phrasecritic import jsonio
+from phrasecritic.jsonio import dumps_canonical, read_json, write_json
 
 
 def test_keys_are_sorted_and_output_ends_with_newline():
@@ -93,46 +93,71 @@ def test_failed_write_leaves_the_old_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
 
 
-# -- loads with the cyclic GC paused -------------------------------------------
+# -- what the target is ----------------------------------------------------------
 
-def test_dataset_load_runs_with_the_gc_paused(tmp_path, tiny_dataset,
-                                              monkeypatch):
-    path = tmp_path / "ds.json"
-    tiny_dataset.save(path)
-    seen = []
-    check = Dataset._check_references
-
-    def spy(self):
-        seen.append(gc.isenabled())
-        check(self)
-
-    monkeypatch.setattr(Dataset, "_check_references", spy)
-    assert gc.isenabled()
-    loaded = Dataset.load(path)
-    assert seen == [False] and gc.isenabled()
-    assert dumps_canonical(loaded.to_json()) == path.read_text()
+def test_rewrite_keeps_the_old_files_mode(tmp_path):
+    path = tmp_path / "obj.json"
+    write_json(path, {"v": 1})
+    path.chmod(0o640)
+    write_json(path, {"v": 2})
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert read_json(path) == {"v": 2}
 
 
-def test_gc_state_is_restored_after_a_failed_load(tmp_path, tiny_dataset):
-    bad = tmp_path / "bad.json"
-    payload = tiny_dataset.to_json()
-    del payload["scenes"]
-    bad.write_text(json.dumps(payload))
-    assert gc.isenabled()
-    assert main(["train", "--dataset", str(bad),
-                 "--out", str(tmp_path / "m.json")]) == EXIT_BAD_CONFIG
-    assert gc.isenabled()
-    assert not (tmp_path / "m.json").exists()
-
-
-def test_gc_stays_disabled_when_it_was(tmp_path, tiny_dataset):
-    path = tmp_path / "ds.json"
-    tiny_dataset.save(path)
-    gc.disable()
+def test_new_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
     try:
-        Dataset.load(path)
-        with gc_paused():
-            assert not gc.isenabled()
-        assert not gc.isenabled()
+        write_json(tmp_path / "obj.json", {"v": 1})
     finally:
-        gc.enable()
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "obj.json").stat().st_mode) == 0o640
+
+
+def test_symlinked_target_is_replaced_behind_the_link(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    write_json(link, {"v": 1})
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == dumps_canonical({"v": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "real.json"]
+
+
+def test_an_existing_tmp_file_is_left_alone(tmp_path):
+    path = tmp_path / "obj.json"
+    (tmp_path / "obj.json.tmp").write_text("someone else's\n")
+    write_json(path, {"v": 1})
+    assert read_json(path) == {"v": 1}
+    assert (tmp_path / "obj.json.tmp").read_text() == "someone else's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["obj.json",
+                                                          "obj.json.tmp"]
+
+
+def test_fifo_is_written_through(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write_json(fifo, {"v": [1, 2]})
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [dumps_canonical({"v": [1, 2]}).encode("utf-8")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_file_in_an_unwritable_directory_is_written_through(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "obj.json"
+    path.write_text("old\n")
+    inode = path.stat().st_ino
+    # the process may run as root, which chmod cannot keep out
+    monkeypatch.setattr(jsonio.os, "access", lambda *args: False)
+    write_json(path, {"v": 1})
+    assert path.stat().st_ino == inode
+    assert path.read_text() == dumps_canonical({"v": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]

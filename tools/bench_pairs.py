@@ -1,14 +1,15 @@
 """Alternated benchmark pairs of two checkouts, written as one JSON file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<sha>.json \\
-        --first-seed 701 [--pairs 10] [--workloads foil,train-rank,explain] \\
-        [--seconds 20] [--about "what the change does"]
+        --first-seed 701
 
-PARENT and CHANGE are two checkouts of this repository. Pair i of a workload
-runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
-in each checkout, the parent first when i is even and the change first
-when i is odd; both runs of a pair use the same seed. The j-th workload
-takes seeds first_seed + j * pairs onward, so no two workloads share one.
+PARENT and CHANGE are two checkouts of this repository. Each workload
+gets ten pairs, the number a gain claim is judged on; pair i runs
+``python3 bench/run.py --workload W --seed S --seconds 20 --trace 0``
+(bench/README.md's run length) in each checkout, the parent first when i
+is even and the change first when i is odd; both runs of a pair use the
+same seed. The j-th workload takes seeds first_seed + 10 * j onward, so
+no two workloads share one.
 
 From each run it reads the JSON line run.py prints last (attempted and
 failed calls, the end-to-end metrics) and the result file run.py leaves in
@@ -34,15 +35,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("foil", "train-rank", "explain")
+WORKLOADS = ("explain", "foil", "train-rank")
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 20
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+def run_once(checkout: Path, workload: str, seed: int):
     """(summary line, result file) of one bench/run.py process."""
     proc = subprocess.Popen(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
     out, _ = proc.communicate()
     if proc.returncode != 0:
@@ -107,13 +110,12 @@ def provenance(result: dict) -> dict:
             if k not in ("workload", "seed", "seconds", "trace")}
 
 
-def describe(args, done, prov) -> str:
+def describe(done, prov) -> str:
     seeds = "; ".join(f"{w}: seeds {done[w]['seeds'][0]}-"
                       f"{done[w]['seeds'][-1]}" for w in done)
-    about = f", {args.about}" if args.about else ""
-    return (f"Alternated pairs of bench/run.py --seconds {args.seconds:g} "
+    return (f"Alternated pairs of bench/run.py --seconds {SECONDS} "
             f"--trace 0, parent commit {prov['parent']['git_sha'][:7]} "
-            f"against {prov['change']['git_sha'][:7]}{about}; pair i runs "
+            f"against {prov['change']['git_sha'][:7]}; pair i runs "
             f"the parent first when i is even and the change first when i "
             f"is odd. {seeds}. Each metric: per-pair values, each side's "
             f"median and quartiles (statistics.quantiles, n=4), and the "
@@ -128,30 +130,22 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--about", default="",
-                        help="what the change does, for the description")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    if args.pairs < 1 or not set(workloads) <= set(WORKLOADS):
-        parser.error(f"need --pairs >= 1 and workloads among {WORKLOADS}")
     checkouts = {s: getattr(args, s).resolve() for s in SIDES}
     for s, path in checkouts.items():
         if not (path / "bench" / "run.py").is_file():
             parser.error(f"{s} checkout {path} has no bench/run.py")
 
     done, prov = {}, {}
-    for j, workload in enumerate(workloads):
+    for j, workload in enumerate(WORKLOADS):
         runs = {"seeds": [], "first": [], "parent": [], "change": []}
-        for i in range(args.pairs):
-            seed = args.first_seed + j * args.pairs + i
+        for i in range(PAIRS):
+            seed = args.first_seed + j * PAIRS + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             runs["seeds"].append(seed)
             runs["first"].append(order[0])
             for s in order:
-                run = run_once(checkouts[s], workload, seed, args.seconds)
+                run = run_once(checkouts[s], workload, seed)
                 runs[s].append(run)
                 prov.setdefault(s, provenance(run[1]))
                 metrics = run[0]["metrics"]
@@ -160,7 +154,7 @@ def main(argv=None) -> int:
                                   for k, m in metrics.items()),
                       file=sys.stderr, flush=True)
             done[workload] = summarise(runs)
-            document = {"description": describe(args, done, prov),
+            document = {"description": describe(done, prov),
                         "provenance": prov, "workloads": done}
             args.out.write_text(json.dumps(document, indent=2,
                                            sort_keys=True) + "\n")
