@@ -28,9 +28,8 @@ def write_json(path, obj) -> None:
     if os.path.exists(path) and not (
             os.path.isfile(path)
             and os.access(os.path.dirname(target), os.W_OK)):
-        with open(path, "w", encoding="utf-8") as fh:  # write through
-            fh.writelines(_ENCODER.iterencode(obj))
-            fh.write("\n")
+        with open(path, "w", encoding="utf-8") as fh:  # through, in one piece
+            fh.write(dumps_canonical(obj))
         return
     for n in itertools.count():  # <target>.tmp, or .tmp1, ... if taken
         tmp = f"{target}.tmp{n or ''}"
@@ -38,9 +37,10 @@ def write_json(path, obj) -> None:
             fh = open(tmp, "x", encoding="utf-8")  # mode from the umask
             break
     try:
-        with fh:
-            fh.writelines(_ENCODER.iterencode(obj))
-            fh.write("\n")
+        with fh:  # in blocks: one write per tiny chunk costs more
+            chunks = itertools.chain(_ENCODER.iterencode(obj), "\n")
+            while block := "".join(itertools.islice(chunks, 1024)):
+                fh.write(block)
         if os.path.exists(target):
             shutil.copymode(target, tmp)
         os.replace(tmp, target)

@@ -93,7 +93,7 @@ def test_failed_write_leaves_the_old_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
 
 
-# -- what the target is ----------------------------------------------------------
+# -- what the target is --------------------------------------------------------
 
 def test_rewrite_keeps_the_old_files_mode(tmp_path):
     path = tmp_path / "obj.json"
