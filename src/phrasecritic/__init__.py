@@ -23,7 +23,7 @@ from .grounding import GroundedPhrase, SceneGrounder, ground_all, ground_phrase
 from .metrics import MetricReport, compare_methods, cnp_cs, phrase_correct
 from .negatives import (RankPair, build_rank_pairs, ground_rank_pairs,
                         make_negatives)
-from .textproc import AttributePhrase, chunk_sentence, tokenize
+from .textproc import AttributePhrase, chunk_sentence
 from .worldsim import (ClassProfile, Dataset, GrounderConfig, Scene,
                        Taxonomy, WorldConfig, generate_dataset)
 

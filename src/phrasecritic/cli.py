@@ -166,8 +166,7 @@ def cmd_train(args) -> int:
         model, report = foil.train_foil_classifier(dataset, hyper, args.seed)
     save_checkpoint(model, out)
     if report_out:
-        write_json(report_out,
-                   report.to_json(include_timing=args.include_timing))
+        write_json(report_out, report.to_json())
     final_val = report.val_metric[-1] if report.val_metric else float("nan")
     print(f"trained {args.objective} critic for {report.epochs} epochs, "
           f"final loss {report.final_train_loss:.4f}, "
@@ -322,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int)
     p.add_argument("--pairs-out", help="also write the mined pairs")
     p.add_argument("--report-out", help="also write the training report")
-    p.add_argument("--include-timing", action="store_true",
-                   help="include wall-clock time in the report")
     p.set_defaults(func=cmd_train)
 
     # Flags shared by the commands that read a dataset and a checkpoint,

@@ -25,7 +25,7 @@ is one momentum update over that vector.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -64,9 +64,7 @@ class CriticHyper:
                 f"momentum must be in [0, 1), got {self.momentum}")
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "embed_dim", "input_dim", "hidden_dim", "head_dim", "margin",
-            "lr", "momentum", "batch_size", "epochs")}
+        return asdict(self)
 
 
 def _sigmoid(x):
@@ -161,10 +159,10 @@ class CriticModel:
 
 # -- losses -----------------------------------------------------------------
 
-def rank_loss(s_p: float, s_n: float, margin: float = 1.0) -> float:
-    """Margin ranking loss max(0, s_n - s_p + margin); zero iff the
-    positive clears the negative by the full margin."""
-    return float(max(0.0, s_n - s_p + margin))
+def rank_loss(s_p, s_n, margin: float = 1.0):
+    """Margin ranking loss max(0, s_n - s_p + margin), elementwise; zero iff
+    the positive clears the negative by the full margin."""
+    return np.maximum(0.0, s_n - s_p + margin)
 
 
 # -- packing ----------------------------------------------------------------
@@ -315,9 +313,9 @@ def _loss_and_grads(model: CriticModel, packed: PackedSequences, kind: str,
     _check_finite(scores)
     if kind == "rank":
         b = len(scores) // 2
-        gap = scores[b:] - scores[:b] + model.hyper.margin
-        loss = float(np.mean(np.maximum(0.0, gap)))
-        active = (gap > 0.0).astype(float) / b
+        hinge = rank_loss(scores[:b], scores[b:], model.hyper.margin)
+        loss = float(np.mean(hinge))
+        active = (hinge > 0.0).astype(float) / b
         d_scores = np.concatenate([-active, active])
     else:
         loss = float(np.mean(np.logaddexp(
@@ -373,17 +371,14 @@ class TrainReport:
     wall_clock: float
     final_train_loss: float = 0.0
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "objective": self.objective,
             "epochs": self.epochs,
             "train_loss": list(self.train_loss),
             "val_metric": list(self.val_metric),
             "final_train_loss": self.final_train_loss,
         }
-        if include_timing:
-            out["wall_clock"] = self.wall_clock
-        return out
 
 
 def _run_training(model: CriticModel, forward_loss, n_examples: int,

@@ -184,19 +184,15 @@ def _article(noun: str) -> str:
     return "a "
 
 
-def negate_phrase(phrase, cf_class_name: str) -> tuple[str, str]:
+def negate_phrase(phrase: AttributePhrase,
+                  cf_class_name: str) -> tuple[str, str]:
     """Render the negation and the counterfactual conditional for a phrase.
 
-    Accepts an AttributePhrase or plain text. Plural head nouns drop the
-    article ("does not have black wings", "does not have a long flat bill").
+    Plural head nouns drop the article ("does not have black wings", "does
+    not have a long flat bill").
     """
-    if isinstance(phrase, AttributePhrase):
-        text = textproc.phrase_to_text(phrase)
-        noun = phrase.noun
-    else:
-        text = str(phrase)
-        noun = text.split()[-1]
-    article = _article(noun)
+    text = textproc.phrase_to_text(phrase)
+    article = _article(phrase.noun)
     negation = f"this bird does not have {article}{text}"
     conditional = (f"if this bird had been a {cf_class_name}, "
                    f"it would have had {article}{text}")

@@ -96,9 +96,6 @@ class Candidate:
     phrases: list[textproc.AttributePhrase]
     class_id: int
 
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
 
 def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
                       lm: BigramLM, n: int = 100, error_rate: float = 0.3,

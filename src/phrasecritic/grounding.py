@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .textproc import AttributePhrase, chunk_sentence
-from .worldsim import GrounderConfig, Region, Scene, Taxonomy
+from .worldsim import GrounderConfig, Scene, Taxonomy
 
 GEOMETRY_DIMS = 4
 
@@ -62,46 +62,32 @@ def embed_phrase(phrase: AttributePhrase, taxonomy: Taxonomy) -> np.ndarray:
     return vec
 
 
-def region_features(region: Region, taxonomy: Taxonomy, noise: float = 0.0,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Indicator over the region's true attributes and part, plus geometry.
-
-    With noise > 0, each active indicator bit is dropped independently with
-    that probability (so the expected number of flipped bits is
-    noise * active bits), emulating an unreliable detector.
-    """
-    if noise > 0.0 and rng is None:
-        raise ValueError("feature noise requires an rng")
-    return _region_rows([region], taxonomy, noise, rng)[0]
-
-
 def scene_features(scene: Scene, taxonomy: Taxonomy,
                    config: GrounderConfig) -> np.ndarray:
-    """Feature matrix for all regions, filled as one array (row r is
-    region_features of region r), with noise seeded per scene."""
-    rng = None
-    if config.feature_noise > 0.0:
-        rng = np.random.default_rng([config.seed, 1, scene.scene_id])
-    return _region_rows(scene.regions, taxonomy, config.feature_noise, rng)
+    """Feature matrix of a scene's regions, filled as one array: row r is
+    the indicator over region r's true attributes and part, then its
+    geometry.
 
-
-def _region_rows(regions, taxonomy, noise, rng) -> np.ndarray:
-    """One (regions x dims) array filled by index. The noise draws come
-    region by region, active bits in order, as when stacking one
-    region_features row per region, so the generator ends in one state."""
+    With feature noise > 0, each active indicator bit is dropped
+    independently with that probability (so the expected number of flipped
+    bits is noise * active bits), emulating an unreliable detector. The
+    draws come from a per-scene stream, region by region, active bits in
+    order.
+    """
     index = taxonomy.vector_index
-    features = np.zeros((len(regions), feature_dim(taxonomy)))
+    features = np.zeros((len(scene.regions), feature_dim(taxonomy)))
     rows, cols = [], []
-    for row, region in enumerate(regions):
+    for row, region in enumerate(scene.regions):
         active = [index[tok] for tok in region.attrs.values() if tok in index]
         active.append(index[region.part])
         rows += [row] * len(active)
         cols += active
     features[rows, cols] = 1.0
-    if noise > 0.0:
-        drop = rng.random(len(cols)) < noise  # the values of len(cols) calls
+    if config.feature_noise > 0.0:
+        rng = np.random.default_rng([config.seed, 1, scene.scene_id])
+        drop = rng.random(len(cols)) < config.feature_noise
         features[np.array(rows)[drop], np.array(cols)[drop]] = 0.0
-    features[:, taxonomy.vector_dim:] = [r.box for r in regions]
+    features[:, taxonomy.vector_dim:] = [r.box for r in scene.regions]
     return features
 
 

@@ -83,15 +83,21 @@ def _space_size(per_phrase, counts) -> int:
     return size
 
 
-def iter_negatives(tokens, taxonomy: Taxonomy, k: int = 10, seed=0):
+def iter_negatives(tokens, phrases, taxonomy: Taxonomy, k: int = 10,
+                   seed=0):
     """make_negatives' negatives in order, each drawn when it is asked for,
-    so a caller that stops early skips the draws it would not use."""
+    so a caller that stops early skips the draws it would not use.
+
+    phrases is the chunking of tokens. Each negative comes as (tokens,
+    phrases, flipped positions): its phrases are edited from these
+    (textproc.apply_edits), and its edits come in phrase order, so the
+    positions ascend.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    rng = np.random.default_rng(seed)
-    phrases = textproc.chunk_sentence(list(tokens), taxonomy)
     if not phrases:
         raise ValueError("sentence has no attribute phrases to flip")
+    rng = np.random.default_rng(seed)
     positive = tuple(tokens)
     per_phrase = [_phrase_flips(p, taxonomy) for p in phrases]
     counts = _flip_counts(len(phrases))
@@ -110,19 +116,18 @@ def iter_negatives(tokens, taxonomy: Taxonomy, k: int = 10, seed=0):
         for c in sorted(int(c) for c in chosen):
             flips = per_phrase[flippable[c]]
             edits.append(flips[int(rng.integers(len(flips)))])
-        # tokens only: pairs derive a negative's phrases from its flips
-        negative, _ = textproc.apply_edits(positive, (), edits)
+        negative, edited = textproc.apply_edits(positive, phrases, edits)
         if negative not in seen:
             seen.add(negative)
-            yield list(negative)
+            yield list(negative), edited, tuple(pos for pos, _ in edits)
 
     if len(seen) - 1 < wanted:
         # The sampling budget ran out first: enumerate the space for the rest.
         for edits in _enumerate_space(phrases, taxonomy, len(phrases)):
-            negative, _ = textproc.apply_edits(positive, (), edits)
+            negative, edited = textproc.apply_edits(positive, phrases, edits)
             if negative not in seen:
                 seen.add(negative)
-                yield list(negative)
+                yield list(negative), edited, tuple(pos for pos, _ in edits)
                 if len(seen) - 1 == k:
                     break
 
@@ -139,7 +144,9 @@ def make_negatives(tokens, taxonomy: Taxonomy, k: int = 10,
     the space enumerated for the rest. The result always has exactly
     min(k, |space|) entries.
     """
-    return list(iter_negatives(tokens, taxonomy, k, seed))
+    phrases = textproc.chunk_sentence(list(tokens), taxonomy)
+    return [negative for negative, _, _
+            in iter_negatives(tokens, phrases, taxonomy, k, seed)]
 
 
 def contradicts_scene(tokens, scene: Scene, taxonomy: Taxonomy,
@@ -149,12 +156,6 @@ def contradicts_scene(tokens, scene: Scene, taxonomy: Taxonomy,
     if phrases is None:
         phrases = textproc.chunk_sentence(tokens, taxonomy)
     return not all(phrase_correct(p, scene, taxonomy) for p in phrases)
-
-
-def _edited_phrases(positive, phrases, negative, flips):
-    """The negative's phrases, from the positive's and the flipped tokens."""
-    return textproc.apply_edits(positive, phrases,
-                                [(i, negative[i]) for i in flips])[1]
 
 
 def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
@@ -177,14 +178,11 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
             phrases = textproc.chunk_sentence(sentence.tokens,
                                               dataset.taxonomy)
             kept = 0
-            for negative in iter_negatives(sentence.tokens, dataset.taxonomy,
-                                           k=3 * k, seed=rng):
-                flips = tuple(i for i, (a, b)
-                              in enumerate(zip(sentence.tokens, negative))
-                              if a != b)
-                if not contradicts_scene(
-                        negative, scene, dataset.taxonomy, _edited_phrases(
-                            sentence.tokens, phrases, negative, flips)):
+            for negative, negative_phrases, flips in iter_negatives(
+                    sentence.tokens, phrases, dataset.taxonomy, k=3 * k,
+                    seed=rng):
+                if not contradicts_scene(negative, scene, dataset.taxonomy,
+                                         negative_phrases):
                     continue
                 pairs.append(RankPair(scene.scene_id, list(sentence.tokens),
                                       negative, flips, scene.split))
@@ -213,8 +211,9 @@ def ground_rank_pairs(dataset: Dataset, pairs):
     for pair in pairs:
         grounder = grounders[pair.scene_id]
         positive = grounder.ground_tokens(pair.positive)
-        phrases = _edited_phrases(pair.positive, [g.phrase for g in positive],
-                                  pair.negative, pair.flips)
+        _, phrases = textproc.apply_edits(
+            pair.positive, [g.phrase for g in positive],
+            [(i, pair.negative[i]) for i in pair.flips])
         grouped.setdefault(pair.split, []).append(
             (positive, grounder.ground_tokens(pair.negative, phrases)))
     return grouped

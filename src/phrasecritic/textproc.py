@@ -1,4 +1,4 @@
-"""Tokenisation, lexicon-based POS tagging, and attribute-phrase chunking.
+"""Lexicon-based POS tagging and attribute-phrase chunking.
 
 The chunker is rule based. Two patterns are recognised, longest match first,
 scanning left to right without overlap:
@@ -42,11 +42,6 @@ class AttributePhrase:
 
     def tokens(self) -> tuple[str, ...]:
         return self.adjectives + (self.noun,)
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase whitespace tokenisation; the world has no punctuation."""
-    return text.lower().split()
 
 
 _UNKNOWN = (OTHER, None)

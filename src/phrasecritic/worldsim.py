@@ -287,9 +287,6 @@ class Sentence:
     tokens: list[str]
     foil: FoilInfo | None = None
 
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
     def to_json(self) -> dict:
         foil = None
         if self.foil is not None:

@@ -280,9 +280,3 @@ def test_negate_phrase_plural_drops_article(noun):
     assert negation == f"this bird does not have black {noun}"
     assert conditional == (f"if this bird had been a species 01, "
                            f"it would have had black {noun}")
-
-
-def test_negate_phrase_accepts_plain_text():
-    negation, conditional = negate_phrase("speckled belly", "species 02")
-    assert negation == "this bird does not have a speckled belly"
-    assert "it would have had a speckled belly" in conditional

@@ -9,8 +9,7 @@ import pytest
 from phrasecritic import (SceneGrounder, chunk_sentence, ground_all,
                           ground_phrase)
 from phrasecritic.grounding import (GEOMETRY_DIMS, embed_phrase, feature_dim,
-                                    mean_grounding_score, region_features,
-                                    scene_features)
+                                    mean_grounding_score, scene_features)
 from phrasecritic.textproc import apply_edits
 from phrasecritic.worldsim import GrounderConfig
 
@@ -24,12 +23,30 @@ def phrase(text, taxonomy):
     return p
 
 
+def frozen_region_features(region, taxonomy, noise=0.0, rng=None):
+    """One region's feature row, built bit by bit, one noise draw per
+    active bit, as scene_features once stacked them: the reference for its
+    one-array fill."""
+    vec = np.zeros(taxonomy.vector_dim + GEOMETRY_DIMS)
+    index = taxonomy.vector_index
+    active = [index[tok] for tok in region.attrs.values() if tok in index]
+    active.append(index[region.part])
+    for dim in active:
+        vec[dim] = 1.0
+    if noise > 0.0:
+        for dim in active:
+            if rng.random() < noise:
+                vec[dim] = 0.0
+    vec[taxonomy.vector_dim:] = region.box
+    return vec
+
+
 def oracle_ground(p, scene, taxonomy, config, index):
     """Independent reimplementation: explicit loops, no vectorisation."""
     vec = embed_phrase(p, taxonomy)
     best, best_m = 0, None
     for i, region in enumerate(scene.regions):
-        feats = region_features(region, taxonomy)
+        feats = frozen_region_features(region, taxonomy)
         m = sum(float(feats[d]) * float(vec[d])
                 for d in range(taxonomy.vector_dim))
         if best_m is None or m > best_m:
@@ -55,35 +72,31 @@ def test_alias_noun_embeds_as_body(taxonomy):
 
 
 def test_region_features_carry_geometry(taxonomy, tiny_dataset):
-    region = tiny_dataset.scenes[0].regions[0]
-    feats = region_features(region, taxonomy)
-    assert feats.shape == (feature_dim(taxonomy),)
-    assert tuple(feats[-GEOMETRY_DIMS:]) == region.box
-    on = {i for i in range(taxonomy.vector_dim) if feats[i] == 1.0}
-    want = {taxonomy.vector_index[t] for t in region.attrs.values()}
-    want.add(taxonomy.vector_index[region.part])
-    assert on == want
+    scene = tiny_dataset.scenes[0]
+    feats = scene_features(scene, taxonomy, NOISELESS)
+    assert feats.shape == (len(scene.regions), feature_dim(taxonomy))
+    for region, row in zip(scene.regions, feats):
+        assert tuple(row[-GEOMETRY_DIMS:]) == region.box
+        on = {i for i in range(taxonomy.vector_dim) if row[i] == 1.0}
+        want = {taxonomy.vector_index[t] for t in region.attrs.values()}
+        want.add(taxonomy.vector_index[region.part])
+        assert on == want
 
 
 def test_feature_noise_drops_active_bits_at_the_stated_rate(taxonomy,
                                                             tiny_dataset):
-    region = tiny_dataset.scenes[0].regions[0]
-    rng = np.random.default_rng(0)
-    clean = region_features(region, taxonomy)
-    active = int(clean[:taxonomy.vector_dim].sum())
+    scene = tiny_dataset.scenes[0]
+    clean = scene_features(scene, taxonomy, NOISELESS)
+    active = int(clean[:, :taxonomy.vector_dim].sum())
     dropped = 0
-    trials = 2000
-    for _ in range(trials):
-        noisy = region_features(region, taxonomy, noise=0.3, rng=rng)
-        dropped += active - int(noisy[:taxonomy.vector_dim].sum())
-        assert tuple(noisy[-GEOMETRY_DIMS:]) == region.box
+    trials = 250  # x 32 active bits per scene: 8000 draws
+    for seed in range(trials):
+        noisy = scene_features(scene, taxonomy, GrounderConfig(
+            sigma=0.0, feature_noise=0.3, seed=seed))
+        dropped += active - int(noisy[:, :taxonomy.vector_dim].sum())
+        assert np.array_equal(noisy[:, taxonomy.vector_dim:],
+                              clean[:, taxonomy.vector_dim:])
     assert abs(dropped / (trials * active) - 0.3) < 0.03
-
-
-def test_feature_noise_without_rng_raises(taxonomy, tiny_dataset):
-    with pytest.raises(ValueError, match="rng"):
-        region_features(tiny_dataset.scenes[0].regions[0], taxonomy,
-                        noise=0.5)
 
 
 def test_grounding_matches_brute_force_oracle(tiny_dataset):
@@ -275,23 +288,6 @@ def test_mean_grounding_score_equals_np_mean():
         assert same_float(got, want), (values, got, want)
 
 
-def frozen_region_features(region, taxonomy, noise, rng):
-    """region_features as it was when scene_features stacked one vector per
-    region; frozen here as the reference for the one-array fill."""
-    vec = np.zeros(taxonomy.vector_dim + GEOMETRY_DIMS)
-    index = taxonomy.vector_index
-    active = [index[tok] for tok in region.attrs.values() if tok in index]
-    active.append(index[region.part])
-    for dim in active:
-        vec[dim] = 1.0
-    if noise > 0.0:
-        for dim in active:
-            if rng.random() < noise:
-                vec[dim] = 0.0
-    vec[taxonomy.vector_dim:] = region.box
-    return vec
-
-
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
 def test_scene_features_equals_the_per_region_builder(tiny_dataset, noise,
                                                       monkeypatch):
@@ -314,11 +310,6 @@ def test_scene_features_equals_the_per_region_builder(tiny_dataset, noise,
             assert made == []
             continue
         assert made[-1].bit_generator.state == rng.bit_generator.state
-        alone = default_rng([config.seed, 1, scene.scene_id])
-        for i, region in enumerate(scene.regions):
-            assert np.array_equal(
-                region_features(region, taxonomy, noise, alone), want[i])
-        assert alone.bit_generator.state == rng.bit_generator.state
 
 
 def test_memoised_grounder_equals_fresh_grounding_in_any_order(tiny_dataset):
