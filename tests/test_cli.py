@@ -13,6 +13,8 @@ from phrasecritic.explain import DEFAULT_FLUENCY_THRESHOLD
 from phrasecritic.jsonio import read_json
 from phrasecritic.worldsim import Dataset, WorldConfig
 
+from conftest import load_schema
+
 SYNTH_FLAGS = ["--classes", "3", "--scenes-per-class", "6",
                "--sentences-per-scene", "2", "--seed", "0"]
 
@@ -128,6 +130,28 @@ def test_counterfactual_records(workspace, tmp_path, capsys):
         assert record["conditional"].startswith("if this bird had been a ")
         assert record["evidence"]
         assert record["phrase_scores"]
+
+
+def test_artifacts_match_their_schemas(workspace, tmp_path, capsys):
+    """Both checkpoints, and the rank and counterfactual outputs, validate
+    against docs/schemas; a checkpoint without its hyper-parameters does
+    not."""
+    jsonschema = pytest.importorskip("jsonschema")
+    artifacts = [(workspace["rank"], "checkpoint"),
+                 (workspace["binary"], "checkpoint")]
+    for command, schema in (("rank", "explanations"),
+                            ("counterfactual", "counterfactuals")):
+        out = str(tmp_path / f"{command}.json")
+        code, _, _ = run(capsys, command, "--dataset", workspace["ds"],
+                         "--model", workspace["rank"], "--out", out)
+        assert code == 0
+        artifacts.append((out, schema))
+    for path, schema in artifacts:
+        jsonschema.validate(read_json(path), load_schema(schema))
+    checkpoint = read_json(workspace["rank"])
+    del checkpoint["hyper"]["margin"]
+    with pytest.raises(jsonschema.ValidationError, match="margin"):
+        jsonschema.validate(checkpoint, load_schema("checkpoint"))
 
 
 def test_foil_eval_output(workspace, tmp_path, capsys):

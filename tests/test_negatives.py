@@ -163,11 +163,16 @@ def test_space_size_counts_the_distinct_negatives(tiny_dataset, taxonomy):
 def test_make_negatives_stop_matches_reference_sampler(tiny_dataset,
                                                        taxonomy):
     """Stopping once the flip space is used up returns exactly what the
-    full-budget sampler returns, for k below, at and above the space."""
-    phrase_counts = set()
+    full-budget sampler returns, for k below, at and above the space, on
+    two sentences of each phrase count (the reference spends its whole
+    budget of 60k draws at k above the space)."""
+    by_count = {}
     for sentence in first_gt_sentences(tiny_dataset):
         phrases = textproc.chunk_sentence(sentence.tokens, taxonomy)
-        phrase_counts.add(len(phrases))
+        by_count.setdefault(len(phrases), []).append((sentence, phrases))
+    phrase_counts = set(by_count)
+    for sentence, phrases in (s for group in by_count.values()
+                              for s in group[:2]):
         size = _space_size([_phrase_flips(p, taxonomy) for p in phrases],
                            _flip_counts(len(phrases)))
         for k in (size // 2, size, size + 1):
