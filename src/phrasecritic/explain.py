@@ -153,9 +153,9 @@ def counterfactual_evidence(query: Scene, cf_class: int, dataset: Dataset,
 
     The explanation pipeline runs on the nearest scene of the
     counterfactual class; each of its phrases is then grounded in the query
-    scene and scored alone by the critic, and the lowest-scoring phrase is
-    returned as evidence, along with all per-phrase scores and the
-    neighbour scene.
+    scene and scored alone by the critic (as its own sequence, all in one
+    call), and the lowest-scoring phrase is returned as evidence, along
+    with all per-phrase scores and the neighbour scene.
     """
     neighbours = [s for s in dataset.scenes if s.class_id == cf_class]
     if not neighbours:
@@ -170,7 +170,7 @@ def counterfactual_evidence(query: Scene, cf_class: int, dataset: Dataset,
     phrases = explanation.phrases
     grounded = grounding.ground_all(phrases, query, dataset.taxonomy,
                                     dataset.grounder)
-    scores = [model.score([g]) for g in grounded]
+    scores = model.score_many([[g] for g in grounded]).tolist()
     evidence = phrases[int(np.argmin(scores))]
     return evidence, scores, explanation, neighbour
 
