@@ -119,6 +119,19 @@ class Taxonomy:
     vector_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for i, part in enumerate(self.parts):
+            if part in self.parts[:i]:
+                raise ConfigurationError(f"taxonomy lists part {part!r} twice")
+            scale = self.kappa.get(part)
+            if scale is None or not math.isfinite(scale):
+                raise ConfigurationError(
+                    f"taxonomy kappa for part {part!r} must be a finite "
+                    f"number, got {scale}")
+        for alias, part in self.aliases.items():
+            if part not in self.parts:
+                raise ConfigurationError(
+                    f"taxonomy alias {alias!r} maps to {part!r}, which is not "
+                    f"a taxonomy part")
         seen = set()
         for cat, tokens in self.categories.items():
             for tok in tokens:
@@ -398,6 +411,12 @@ class Dataset:
                     raise ConfigurationError(
                         f"dataset scene {scene.scene_id} has a region for "
                         f"{region.part!r}, which is not a taxonomy part")
+                if len(region.box) != 4 or \
+                        not all(map(math.isfinite, region.box)):
+                    raise ConfigurationError(
+                        f"dataset scene {scene.scene_id} region "
+                        f"{region.part!r} has box {list(region.box)}, which "
+                        f"is not 4 finite numbers")
                 _check_attributes(
                     f"dataset scene {scene.scene_id} region {region.part!r}",
                     region.attrs, tokens)

@@ -524,6 +524,30 @@ def _profile_without_category(payload):
     del payload["profiles"][1]["attributes"]["wing"]["pattern"]
 
 
+def _kappa_without_part(payload):
+    del payload["taxonomy"]["kappa"]["wing"]
+
+
+def _nan_kappa(payload):
+    payload["taxonomy"]["kappa"]["wing"] = float("nan")
+
+
+def _alias_of_a_non_part(payload):
+    payload["taxonomy"]["aliases"]["bird"] = "tail"
+
+
+def _part_listed_twice(payload):
+    payload["taxonomy"]["parts"].append("wing")
+
+
+def _nan_box(payload):
+    _wing_region(payload)["box"] = [0.1, float("nan"), 0.3, 0.4]
+
+
+def _three_value_box(payload):
+    _wing_region(payload)["box"] = [0.1, 0.2, 0.3]
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_orphan_sentence, "sentence 0 names scene 99999"),
     (_unknown_class, "scene 0 has class 50"),
@@ -541,6 +565,17 @@ def _profile_without_category(payload):
     (_profile_without_part, "profile 1 has no attributes for 'wing'"),
     (_profile_without_category,
      "profile 1 part 'wing' has no 'pattern' attribute"),
+    (_kappa_without_part,
+     "taxonomy kappa for part 'wing' must be a finite number, got None"),
+    (_nan_kappa,
+     "taxonomy kappa for part 'wing' must be a finite number, got nan"),
+    (_alias_of_a_non_part,
+     "taxonomy alias 'bird' maps to 'tail', which is not a taxonomy part"),
+    (_part_listed_twice, "taxonomy lists part 'wing' twice"),
+    (_nan_box, "scene 0 region 'wing' has box [0.1, nan, 0.3, 0.4], which "
+               "is not 4 finite numbers"),
+    (_three_value_box, "scene 0 region 'wing' has box [0.1, 0.2, 0.3], "
+                       "which is not 4 finite numbers"),
 ])
 def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
                                     expected):
