@@ -16,8 +16,9 @@
 # (every scene) and rank also write --emit-svg directories.
 # Every artifact is compared with cmp and each SVG directory with diff -r;
 # the exit status is non-zero if any command fails or any output differs.
-# Each checkout's line count (cat src/phrasecritic/*.py | wc -l) is
-# printed first.
+# The line counts of both checkouts are printed first: per module of
+# src/phrasecritic ("-" where a checkout lacks it), then the total
+# (cat src/phrasecritic/*.py | wc -l).
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -75,9 +76,17 @@ build() {
         --out "$out/foil_report_train.json"
 }
 
-for checkout in "$old" "$new"; do
-    echo "lines   $(cat "$checkout"/src/phrasecritic/*.py | wc -l) $checkout"
+src_lines() { if [ -f "$1" ]; then wc -l < "$1"; else echo -; fi; }
+modules=$(for f in "$old"/src/phrasecritic/*.py "$new"/src/phrasecritic/*.py
+          do basename "$f"; done | sort -u)
+printf 'lines   %6s %6s  module  (old %s, new %s)\n' old new "$old" "$new"
+for module in $modules; do
+    printf 'lines   %6s %6s  %s\n' \
+        "$(src_lines "$old/src/phrasecritic/$module")" \
+        "$(src_lines "$new/src/phrasecritic/$module")" "$module"
 done
+printf 'lines   %6s %6s  total\n' "$(cat "$old"/src/phrasecritic/*.py | wc -l)" \
+    "$(cat "$new"/src/phrasecritic/*.py | wc -l)"
 
 build "$old" "$work/old"
 build "$new" "$work/new"
