@@ -385,8 +385,9 @@ class Dataset:
 
     def _check_references(self) -> None:
         """Reject records that refer to a class, part, scene or token the
-        dataset does not hold, and scenes or profiles that leave a part or
-        an attribute category out, naming the first such record."""
+        dataset does not hold, scenes or profiles that leave a part or an
+        attribute category out, and region boxes that are not 4 finite
+        numbers, naming the first such record."""
         parts = self.taxonomy.parts
         tokens = {cat: set(self.taxonomy.categories.get(cat, ()))
                   for cat in ATTRIBUTE_CATEGORIES}
