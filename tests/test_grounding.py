@@ -23,24 +23,6 @@ def phrase(text, taxonomy):
     return p
 
 
-def frozen_region_features(region, taxonomy, noise=0.0, rng=None):
-    """One region's feature row, built bit by bit, one noise draw per
-    active bit, as scene_features once stacked them: the reference for its
-    one-array fill."""
-    vec = np.zeros(taxonomy.vector_dim + GEOMETRY_DIMS)
-    index = taxonomy.vector_index
-    active = [index[tok] for tok in region.attrs.values() if tok in index]
-    active.append(index[region.part])
-    for dim in active:
-        vec[dim] = 1.0
-    if noise > 0.0:
-        for dim in active:
-            if rng.random() < noise:
-                vec[dim] = 0.0
-    vec[taxonomy.vector_dim:] = region.box
-    return vec
-
-
 def oracle_ground(p, scene, taxonomy, config, index):
     """Independent reimplementation: explicit loops, no vectorisation."""
     vec = embed_phrase(p, taxonomy)
@@ -286,6 +268,24 @@ def test_mean_grounding_score_equals_np_mean():
             want = float(np.mean(values))
         assert type(got) is float
         assert same_float(got, want), (values, got, want)
+
+
+def frozen_region_features(region, taxonomy, noise=0.0, rng=None):
+    """One region's feature row, built bit by bit, one noise draw per
+    active bit, as scene_features once stacked them: the reference for its
+    one-array fill."""
+    vec = np.zeros(taxonomy.vector_dim + GEOMETRY_DIMS)
+    index = taxonomy.vector_index
+    active = [index[tok] for tok in region.attrs.values() if tok in index]
+    active.append(index[region.part])
+    for dim in active:
+        vec[dim] = 1.0
+    if noise > 0.0:
+        for dim in active:
+            if rng.random() < noise:
+                vec[dim] = 0.0
+    vec[taxonomy.vector_dim:] = region.box
+    return vec
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
