@@ -25,13 +25,13 @@ is one momentum update over that vector.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CheckpointError, ConfigurationError,
                      TrainingDivergedError)
-from .jsonio import read_json, write_json
+from .jsonio import read_json, record_to_json, write_json
 
 UNK = "<unk>"
 
@@ -62,9 +62,6 @@ class CriticHyper:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _sigmoid(x):
@@ -486,7 +483,7 @@ def save_checkpoint(model: CriticModel, path) -> None:
         "objective": model.objective,
         "vocab": list(model.vocab),
         "feature_dim": model.feature_dim,
-        "hyper": model.hyper.to_json(),
+        "hyper": record_to_json(model.hyper),
         "params": {
             name: {"shape": list(arr.shape),
                    "data": arr.ravel().tolist()}

@@ -19,6 +19,7 @@ import numpy as np
 from . import explain
 from .critic import CriticModel
 from .grounding import mean_grounding_score
+from .jsonio import record_to_json
 from .worldsim import Dataset, Scene, Taxonomy
 
 
@@ -97,12 +98,6 @@ class MethodMetrics:
     keypoint_dist: dict[str, float]
     excluded: int
 
-    def to_json(self) -> dict:
-        return {"cnp": self.cnp, "cs": self.cs,
-                "keypoint_acc": dict(sorted(self.keypoint_acc.items())),
-                "keypoint_dist": dict(sorted(self.keypoint_dist.items())),
-                "excluded": self.excluded}
-
 
 @dataclass
 class MetricReport:
@@ -111,10 +106,7 @@ class MetricReport:
     methods: dict[str, MethodMetrics] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"format": 1, "split": self.split,
-                "num_scenes": self.num_scenes,
-                "methods": {name: m.to_json()
-                            for name, m in sorted(self.methods.items())}}
+        return {"format": 1, **record_to_json(self)}
 
     def cnp_cs_table(self) -> str:
         lines = [f"{'method':<16}{'CNP':>8}{'CS':>8}"]

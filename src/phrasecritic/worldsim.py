@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textproc
+from . import jsonio, textproc
 from .errors import ConfigurationError, GenerationError
-from .jsonio import read_json, write_json
 
 PARTS = ("beak", "head", "belly", "eye", "wing", "feet", "neck", "body")
 
@@ -186,23 +185,6 @@ class Taxonomy:
             return tuple(p for p in self.parts if p != original)
         return tuple(t for t in self.categories[cat] if t != token)
 
-    def to_json(self) -> dict:
-        return {
-            "parts": list(self.parts),
-            "categories": {c: list(t) for c, t in self.categories.items()},
-            "kappa": dict(self.kappa),
-            "aliases": dict(self.aliases),
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "Taxonomy":
-        return cls(
-            parts=tuple(obj["parts"]),
-            categories={c: tuple(t) for c, t in obj["categories"].items()},
-            kappa={p: float(v) for p, v in obj["kappa"].items()},
-            aliases=dict(obj["aliases"]),
-        )
-
 
 @dataclass
 class ClassProfile:
@@ -221,18 +203,6 @@ class ClassProfile:
     def distance(self, other: "ClassProfile") -> int:
         return assignment_distance(self.assignment(), other.assignment())
 
-    def to_json(self) -> dict:
-        return {"class_id": self.class_id, "name": self.name,
-                "noise_rate": self.noise_rate,
-                "attributes": {p: dict(c) for p, c in self.attributes.items()}}
-
-    @classmethod
-    def from_json(cls, obj) -> "ClassProfile":
-        return cls(class_id=int(obj["class_id"]), name=obj["name"],
-                   attributes={p: dict(c)
-                               for p, c in obj["attributes"].items()},
-                   noise_rate=float(obj["noise_rate"]))
-
 
 def assignment_distance(a, b) -> int:
     """Count of (part, category) slots whose tokens differ."""
@@ -249,8 +219,8 @@ class Region:
 
 @dataclass
 class Scene:
-    scene_id: int
-    class_id: int
+    scene_id: int = field(metadata={"json": "id"})
+    class_id: int = field(metadata={"json": "class"})
     regions: list[Region]
     keypoints: dict[str, tuple[float, float]]
     split: str
@@ -265,28 +235,6 @@ class Scene:
         return {(r.part, cat): tok
                 for r in self.regions for cat, tok in r.attrs.items()}
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.scene_id,
-            "class": self.class_id,
-            "split": self.split,
-            "regions": [{"part": r.part, "box": list(r.box),
-                         "attrs": dict(r.attrs)} for r in self.regions],
-            "keypoints": {p: list(k) for p, k in self.keypoints.items()},
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "Scene":
-        return cls(
-            scene_id=int(obj["id"]),
-            class_id=int(obj["class"]),
-            split=obj["split"],
-            regions=[Region(r["part"], tuple(float(v) for v in r["box"]),
-                            dict(r["attrs"])) for r in obj["regions"]],
-            keypoints={p: tuple(float(v) for v in k)
-                       for p, k in obj["keypoints"].items()},
-        )
-
 
 @dataclass
 class FoilInfo:
@@ -299,19 +247,6 @@ class Sentence:
     scene_id: int
     tokens: list[str]
     foil: FoilInfo | None = None
-
-    def to_json(self) -> dict:
-        foil = None
-        if self.foil is not None:
-            foil = {"index": self.foil.index, "original": self.foil.original}
-        return {"scene_id": self.scene_id, "tokens": list(self.tokens),
-                "foil": foil}
-
-    @classmethod
-    def from_json(cls, obj) -> "Sentence":
-        foil = obj.get("foil")
-        info = FoilInfo(int(foil["index"]), foil["original"]) if foil else None
-        return cls(int(obj["scene_id"]), list(obj["tokens"]), info)
 
 
 _DATASET_FIELDS = {"seed": int, "taxonomy": dict, "profiles": list,
@@ -336,15 +271,7 @@ class Dataset:
         return [s for s in self.scenes if s.split == split]
 
     def to_json(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "seed": self.seed,
-            "taxonomy": self.taxonomy.to_json(),
-            "profiles": [p.to_json() for p in self.profiles],
-            "grounder": asdict(self.grounder),
-            "scenes": [s.to_json() for s in self.scenes],
-            "sentences": [s.to_json() for s in self.sentences],
-        }
+        return {"format": self.FORMAT, **jsonio.record_to_json(self)}
 
     @classmethod
     def from_json(cls, obj) -> "Dataset":
@@ -360,26 +287,17 @@ class Dataset:
                 raise ConfigurationError(
                     f"dataset field {key!r} must be a {kind.__name__}, "
                     f"got {type(obj[key]).__name__}")
-        sections = {
-            "taxonomy": lambda: Taxonomy.from_json(obj["taxonomy"]),
-            "profiles": lambda: [ClassProfile.from_json(p)
-                                 for p in obj["profiles"]],
-            "scenes": lambda: [Scene.from_json(s) for s in obj["scenes"]],
-            "sentences": lambda: [Sentence.from_json(s)
-                                  for s in obj["sentences"]],
-            "grounder": lambda: GrounderConfig(**obj["grounder"]),
-        }
         built = {}
-        for key, build in sections.items():
+        for name, key, kind in jsonio.record_fields(cls):
             try:
-                built[key] = build()
+                built[name] = jsonio.record_from_json(kind, obj[key])
             except ConfigurationError:
                 raise
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise ConfigurationError(
                     f"malformed dataset {key!r}: {type(exc).__name__}: "
                     f"{exc}") from exc
-        dataset = cls(seed=int(obj["seed"]), **built)
+        dataset = cls(**built)
         dataset._check_references()
         return dataset
 
@@ -449,11 +367,11 @@ class Dataset:
                     f", whose lexicon entry is not that of {foiled!r}")
 
     def save(self, path) -> None:
-        write_json(path, self.to_json())
+        jsonio.write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "Dataset":
-        return cls.from_json(read_json(path))
+        return cls.from_json(jsonio.read_json(path))
 
 
 def _check_attributes(record: str, attrs, tokens) -> None:

@@ -161,3 +161,92 @@ def test_file_in_an_unwritable_directory_is_written_through(tmp_path,
     assert path.stat().st_ino == inode
     assert path.read_text() == dumps_canonical({"v": 1})
     assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
+
+
+# -- record codec --------------------------------------------------------------
+
+def _records(dataset):
+    """One record of every class the codec writes, from a tiny world."""
+    from phrasecritic.critic import CriticHyper
+    from phrasecritic.metrics import MethodMetrics, MetricReport
+    scene = dataset.scenes[0]
+    foiled = next(s for s in dataset.sentences if s.foil is not None)
+    method = MethodMetrics(0.5, 0.25, {"wing": 0.75}, {"wing": 0.125}, 2)
+    return [dataset, dataset.taxonomy, dataset.profiles[0], dataset.grounder,
+            scene, scene.regions[0], dataset.sentences[0], foiled,
+            foiled.foil, method, MetricReport("test", 3, {"fluency": method}),
+            CriticHyper(epochs=3, lr=0.5)]
+
+
+def test_every_record_round_trips(tiny_dataset):
+    for record in _records(tiny_dataset):
+        text = dumps_canonical(jsonio.record_to_json(record))
+        assert jsonio.record_from_json(type(record), json.loads(text)) \
+            == record
+
+
+def _has_tuple(obj):
+    if isinstance(obj, tuple):
+        return True
+    if isinstance(obj, dict):
+        return any(map(_has_tuple, obj.values()))
+    return isinstance(obj, list) and any(map(_has_tuple, obj))
+
+
+def test_records_write_plain_json_types(tiny_dataset):
+    for record in _records(tiny_dataset):
+        assert not _has_tuple(jsonio.record_to_json(record))
+    assert not _has_tuple(tiny_dataset.to_json())
+
+
+def test_scene_writes_id_and_class(tiny_dataset):
+    scene = tiny_dataset.scenes[3]
+    out = jsonio.record_to_json(scene)
+    assert set(out) == {"id", "class", "regions", "keypoints", "split"}
+    assert (out["id"], out["class"]) == (scene.scene_id, scene.class_id)
+
+
+def test_tuple_fields_read_back_as_tuples(tiny_dataset):
+    from phrasecritic.worldsim import Scene, Taxonomy
+    scene = jsonio.record_from_json(
+        Scene, json.loads(dumps_canonical(tiny_dataset.to_json()["scenes"][0])))
+    assert all(type(r.box) is tuple for r in scene.regions)
+    assert all(type(k) is tuple for k in scene.keypoints.values())
+    taxonomy = jsonio.record_from_json(
+        Taxonomy, jsonio.record_to_json(tiny_dataset.taxonomy))
+    assert type(taxonomy.parts) is tuple
+    assert all(type(t) is tuple for t in taxonomy.categories.values())
+    out = jsonio.record_to_json(scene)
+    assert type(out["regions"][0]["box"]) is list
+    assert all(type(k) is list for k in out["keypoints"].values())
+
+
+def test_records_read_numbers_with_int_and_float():
+    from phrasecritic.worldsim import Region, Sentence
+    region = jsonio.record_from_json(
+        Region, {"part": "wing", "box": [0, 1, 0.5, 0.25], "attrs": {}})
+    assert region.box == (0.0, 1.0, 0.5, 0.25)
+    assert all(type(v) is float for v in region.box)
+    sentence = jsonio.record_from_json(
+        Sentence, {"scene_id": 4.0, "tokens": ["a"],
+                   "foil": {"index": 0.0, "original": "b"}})
+    assert (sentence.scene_id, sentence.foil.index) == (4, 0)
+    assert type(sentence.scene_id) is int
+
+
+def test_missing_nested_key_exits_5(tmp_path, capsys):
+    from phrasecritic.cli import EXIT_BAD_CONFIG, main
+    ds = tmp_path / "ds.json"
+    assert main(["synth", "--out", str(ds), "--classes", "3",
+                 "--scenes-per-class", "6", "--sentences-per-scene", "2"]) == 0
+    payload = read_json(ds)
+    del payload["scenes"][0]["regions"][0]["box"]
+    write_json(ds, payload)
+    capsys.readouterr()
+    out = tmp_path / "critic.json"
+    assert main(["train", "--dataset", str(ds), "--objective", "binary",
+                 "--out", str(out)]) == EXIT_BAD_CONFIG
+    message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+    assert message.startswith("malformed dataset 'scenes': KeyError")
+    assert "'box'" in message
+    assert not out.exists()

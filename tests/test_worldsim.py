@@ -87,7 +87,7 @@ def test_profiles_keep_min_pairwise_distance(tiny_dataset):
 def test_profile_sampling_is_deterministic(taxonomy):
     a = sample_class_profiles(taxonomy, 4, seed=5)
     b = sample_class_profiles(taxonomy, 4, seed=5)
-    assert [p.to_json() for p in a] == [p.to_json() for p in b]
+    assert a == b
 
 
 def test_impossible_min_distance_raises(taxonomy):
@@ -146,7 +146,7 @@ def test_render_is_deterministic(taxonomy):
     profile = sample_class_profiles(taxonomy, 1, seed=3)[0]
     a = render_scene(profile, taxonomy, 0.3, [11, 4], scene_id=4)
     b = render_scene(profile, taxonomy, 0.3, [11, 4], scene_id=4)
-    assert a.to_json() == b.to_json()
+    assert a == b
 
 
 # -- sentences ---------------------------------------------------------------
