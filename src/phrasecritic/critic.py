@@ -505,6 +505,8 @@ def load_checkpoint(path) -> CriticModel:
             f"unsupported checkpoint format {payload.get('format')!r}")
     try:
         hyper = CriticHyper(**payload["hyper"])
+        if not payload["vocab"]:
+            raise CheckpointError(f"corrupt checkpoint {path}: empty vocab")
         model = CriticModel(tuple(payload["vocab"]),
                             int(payload["feature_dim"]), hyper,
                             objective=payload.get("objective", "rank"))

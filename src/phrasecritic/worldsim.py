@@ -293,7 +293,8 @@ class Dataset:
                 built[name] = jsonio.record_from_json(kind, obj[key])
             except ConfigurationError:
                 raise
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    OverflowError) as exc:
                 raise ConfigurationError(
                     f"malformed dataset {key!r}: {type(exc).__name__}: "
                     f"{exc}") from exc
@@ -304,8 +305,9 @@ class Dataset:
     def _check_references(self) -> None:
         """Reject records that refer to a class, part, scene or token the
         dataset does not hold, scenes or profiles that leave a part or an
-        attribute category out, and region boxes that are not 4 finite
-        numbers, naming the first such record."""
+        attribute category out, profile names that are not strings, and
+        region boxes and keypoints that are not 4 and 2 finite numbers,
+        naming the first such record."""
         parts = self.taxonomy.parts
         tokens = {cat: set(self.taxonomy.categories.get(cat, ()))
                   for cat in ATTRIBUTE_CATEGORIES}
@@ -314,6 +316,10 @@ class Dataset:
                 raise ConfigurationError(
                     f"dataset profile {i} has class_id {profile.class_id}; "
                     f"profiles must be listed in class-id order")
+            if not isinstance(profile.name, str):
+                raise ConfigurationError(
+                    f"dataset profile {i} has name {profile.name!r}, which "
+                    f"is not a string")
             for part in parts:
                 if part not in profile.attributes:
                     raise ConfigurationError(
@@ -339,6 +345,11 @@ class Dataset:
                 _check_attributes(
                     f"dataset scene {scene.scene_id} region {region.part!r}",
                     region.attrs, tokens)
+            for part, point in scene.keypoints.items():
+                if len(point) != 2 or not all(map(math.isfinite, point)):
+                    raise ConfigurationError(
+                        f"dataset scene {scene.scene_id} keypoint {part!r} "
+                        f"is {list(point)}, which is not 2 finite numbers")
             present = {region.part for region in scene.regions}
             for part in parts:
                 if part not in present:

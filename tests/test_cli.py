@@ -288,6 +288,19 @@ def test_corrupt_checkpoint_exits_4(workspace, tmp_path, capsys):
     assert stderr_record(err)["error"] == "CheckpointError"
 
 
+def test_checkpoint_with_empty_vocab_exits_4(workspace, tmp_path, capsys):
+    payload = read_json(workspace["rank"])
+    payload["vocab"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", workspace["ds"],
+                       "--model", str(bad), "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CHECKPOINT
+    record = stderr_record(err)
+    assert record["error"] == "CheckpointError"
+    assert "empty vocab" in record["message"]
+
+
 def test_bad_config_exits_5(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "ds.json"),
                        "--colors", "1")
@@ -548,6 +561,14 @@ def _three_value_box(payload):
     _wing_region(payload)["box"] = [0.1, 0.2, 0.3]
 
 
+def _nan_keypoint(payload):
+    payload["scenes"][0]["keypoints"]["wing"] = [float("nan"), 0.5]
+
+
+def _nan_profile_name(payload):
+    payload["profiles"][1]["name"] = float("nan")
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_orphan_sentence, "sentence 0 names scene 99999"),
     (_unknown_class, "scene 0 has class 50"),
@@ -576,6 +597,9 @@ def _three_value_box(payload):
                "is not 4 finite numbers"),
     (_three_value_box, "scene 0 region 'wing' has box [0.1, 0.2, 0.3], "
                        "which is not 4 finite numbers"),
+    (_nan_keypoint, "scene 0 keypoint 'wing' is [nan, 0.5], which is not 2 "
+                    "finite numbers"),
+    (_nan_profile_name, "profile 1 has name nan, which is not a string"),
 ])
 def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
                                     expected):
@@ -592,6 +616,33 @@ def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
         assert record["error"] == "ConfigurationError"
         assert expected in record["message"]
         assert not (tmp_path / "x.json").exists()
+
+
+def _first_foil(payload):
+    return next(s for s in payload["sentences"] if s["foil"])["foil"]
+
+
+@pytest.mark.parametrize("record, key, section", [
+    (lambda p: p["profiles"][0], "class_id", "profiles"),
+    (lambda p: p["scenes"][0], "id", "scenes"),
+    (lambda p: p["scenes"][0], "class", "scenes"),
+    (lambda p: p["sentences"][0], "scene_id", "sentences"),
+    (_first_foil, "index", "sentences"),
+    (lambda p: p["grounder"], "seed", "grounder"),
+], ids=["profile-class_id", "scene-id", "scene-class", "sentence-scene_id",
+        "foil-index", "grounder-seed"])
+def test_infinite_integer_field_exits_5(workspace, tmp_path, capsys, record,
+                                        key, section):
+    payload = read_json(workspace["ds"])
+    record(payload)[key] = float("inf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", str(bad),
+                       "--model", workspace["rank"],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"].startswith(
+        f"malformed dataset {section!r}: OverflowError")
 
 
 @pytest.mark.parametrize("command", ["rank", "counterfactual", "eval"])
