@@ -10,7 +10,7 @@ chunked: a negative's phrases are edited from its positive's (apply_edits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +31,8 @@ class RankPair:
     negative: list[str]
     flips: tuple[int, ...]
     split: str
+    # (positive, negative) phrases as mined, None: chunk it; not written out
+    phrases: tuple = field(default=(None, None), repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"scene_id": self.scene_id, "positive": list(self.positive),
@@ -185,7 +187,8 @@ def build_rank_pairs(dataset: Dataset, k: int = 10, seed: int = 0,
                                          negative_phrases):
                     continue
                 pairs.append(RankPair(scene.scene_id, list(sentence.tokens),
-                                      negative, flips, scene.split))
+                                      negative, flips, scene.split,
+                                      (phrases, negative_phrases)))
                 kept += 1
                 if kept == k:
                     break
@@ -202,18 +205,15 @@ def ground_rank_pairs(dataset: Dataset, pairs):
     Returns a dict keyed by split whose values are lists of
     (positive grounded sequence, negative grounded sequence) ready for
     ranker training. Each distinct sentence of a scene is grounded once,
-    so pairs with the same positive share one grounded list, and a negative
-    grounds only the phrases its flips changed.
+    from its mined phrases, so pairs with the same positive share one
+    grounded list, and a negative grounds only the phrases its flips changed.
     """
     grounders = scene_grounders({s.scene_id: s for s in dataset.scenes},
                                 dataset.taxonomy, dataset.grounder)
     grouped: dict[str, list] = {}
     for pair in pairs:
         grounder = grounders[pair.scene_id]
-        positive = grounder.ground_tokens(pair.positive)
-        _, phrases = textproc.apply_edits(
-            pair.positive, [g.phrase for g in positive],
-            [(i, pair.negative[i]) for i in pair.flips])
         grouped.setdefault(pair.split, []).append(
-            (positive, grounder.ground_tokens(pair.negative, phrases)))
+            (grounder.ground_tokens(pair.positive, pair.phrases[0]),
+             grounder.ground_tokens(pair.negative, pair.phrases[1])))
     return grouped
