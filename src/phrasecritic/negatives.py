@@ -31,7 +31,7 @@ class RankPair:
     negative: list[str]
     flips: tuple[int, ...]
     split: str
-    # (positive, negative) phrases as mined, None: chunk it; not written out
+    # both sides' phrases as mined (a None side is chunked); not written out
     phrases: tuple = field(default=(None, None), repr=False, compare=False)
 
     def to_json(self) -> dict:
