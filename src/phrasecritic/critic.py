@@ -24,6 +24,7 @@ is one momentum update over that vector.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -34,9 +35,6 @@ from .errors import (CheckpointError, ConfigurationError,
 from .jsonio import read_json, record_to_json, write_json
 
 UNK = "<unk>"
-
-_PARAM_NAMES = ("emb", "w_in", "b_in", "w_x", "w_h", "b_g",
-                "w_1", "b_1", "w_2", "b_2")
 
 
 @dataclass
@@ -64,6 +62,18 @@ class CriticHyper:
                 f"momentum must be in [0, 1), got {self.momentum}")
 
 
+def param_shapes(vocab_size: int, feature_dim: int,
+                 hyper: CriticHyper) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in the order of the flat parameter vector."""
+    e, i, h, m = (hyper.embed_dim, hyper.input_dim, hyper.hidden_dim,
+                  hyper.head_dim)
+    # a step is the mean token embedding (+) evidence channels (+) raw score
+    return {"emb": (vocab_size, e), "w_in": (e + feature_dim + 1, i),
+            "b_in": (i,), "w_x": (i, 4 * h), "w_h": (h, 4 * h),
+            "b_g": (4 * h,), "w_1": (h, m), "b_1": (m,), "w_2": (m,),
+            "b_2": (1,)}
+
+
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -81,10 +91,17 @@ class CriticModel:
         self.feature_dim = int(feature_dim)
         self.hyper = hyper or CriticHyper()
         self.objective = objective
-        params = self._init_params(seed)
-        self._shapes = {name: params[name].shape for name in _PARAM_NAMES}
-        self.flat = np.concatenate([params[k].ravel() for k in _PARAM_NAMES])
+        shapes = param_shapes(len(self.vocab), self.feature_dim, self.hyper)
+        rng = np.random.default_rng([seed, 0])
+        # weights uniform in +-0.1 and biases zero, drawn in flat order
+        self.flat = np.concatenate([
+            np.zeros(math.prod(shape)) if name.startswith("b_")
+            else rng.uniform(-0.1, 0.1, size=math.prod(shape))
+            for name, shape in shapes.items()])
         self.params = self.views(self.flat)
+        # Open forget gate at init so early steps are remembered.
+        hd = self.hyper.hidden_dim
+        self.params["b_g"][hd:2 * hd] = 1.0
 
     @classmethod
     def for_taxonomy(cls, taxonomy, hyper=None, seed: int = 0,
@@ -97,40 +114,12 @@ class CriticModel:
 
     # -- parameters ---------------------------------------------------------
 
-    @property
-    def step_input_dim(self) -> int:
-        # mean token embedding (+) evidence channels (+) raw grounding score
-        return self.hyper.embed_dim + self.feature_dim + 1
-
-    def _init_params(self, seed: int) -> dict[str, np.ndarray]:
-        h = self.hyper
-        rng = np.random.default_rng([seed, 0])
-        v = len(self.vocab)
-
-        def uni(*shape):
-            return rng.uniform(-0.1, 0.1, size=shape)
-
-        params = {
-            "emb": uni(v, h.embed_dim),
-            "w_in": uni(self.step_input_dim, h.input_dim),
-            "b_in": np.zeros(h.input_dim),
-            "w_x": uni(h.input_dim, 4 * h.hidden_dim),
-            "w_h": uni(h.hidden_dim, 4 * h.hidden_dim),
-            "b_g": np.zeros(4 * h.hidden_dim),
-            "w_1": uni(h.hidden_dim, h.head_dim),
-            "b_1": np.zeros(h.head_dim),
-            "w_2": uni(h.head_dim),
-            "b_2": np.zeros(1),
-        }
-        # Open forget gate at init so early steps are remembered.
-        params["b_g"][h.hidden_dim:2 * h.hidden_dim] = 1.0
-        return params
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into a vector laid out like the parameter vector."""
         views, offset = {}, 0
-        for name, shape in self._shapes.items():
-            size = int(np.prod(shape))
+        for name, shape in param_shapes(len(self.vocab), self.feature_dim,
+                                        self.hyper).items():
+            size = math.prod(shape)
             views[name] = flat[offset:offset + size].reshape(shape)
             offset += size
         return views
@@ -307,7 +296,8 @@ def _loss_and_grads(model: CriticModel, packed: PackedSequences, kind: str,
     one 0/1 target per row.
     """
     scores, cache = _forward(model, packed, want_cache=True)
-    _check_finite(scores)
+    if not np.all(np.isfinite(scores)):
+        raise TrainingDivergedError("non-finite critic score encountered")
     if kind == "rank":
         b = len(scores) // 2
         hinge = rank_loss(scores[:b], scores[b:], model.hyper.margin)
@@ -352,11 +342,6 @@ def gradients(model: CriticModel, batch, kind: str = "rank"):
     return loss, grads
 
 
-def _check_finite(values):
-    if not np.all(np.isfinite(values)):
-        raise TrainingDivergedError("non-finite critic score encountered")
-
-
 # -- training ---------------------------------------------------------------
 
 @dataclass
@@ -369,13 +354,9 @@ class TrainReport:
     final_train_loss: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "objective": self.objective,
-            "epochs": self.epochs,
-            "train_loss": list(self.train_loss),
-            "val_metric": list(self.val_metric),
-            "final_train_loss": self.final_train_loss,
-        }
+        """The fields but the wall clock, which differs between reruns."""
+        return {key: value for key, value in record_to_json(self).items()
+                if key != "wall_clock"}
 
 
 def _run_training(model: CriticModel, forward_loss, n_examples: int,
@@ -505,23 +486,27 @@ def load_checkpoint(path) -> CriticModel:
             f"unsupported checkpoint format {payload.get('format')!r}")
     try:
         hyper = CriticHyper(**payload["hyper"])
-        if not payload["vocab"]:
-            raise CheckpointError(f"corrupt checkpoint {path}: empty vocab")
-        model = CriticModel(tuple(payload["vocab"]),
-                            int(payload["feature_dim"]), hyper,
-                            objective=payload.get("objective", "rank"))
-        for name in _PARAM_NAMES:
-            entry = payload["params"][name]
-            arr = np.array(entry["data"], dtype=np.float64) \
-                .reshape(entry["shape"])
-            if arr.shape != model.params[name].shape:
+        vocab = tuple(payload["vocab"])  # a critic's starts with <unk>
+        if vocab[:1] != (UNK,):
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: empty vocab, or {UNK} not first")
+        feature_dim = int(payload["feature_dim"])
+        shapes = param_shapes(len(vocab), feature_dim, hyper)
+        # sizes first: a stated size is only allocated once data backs it
+        entries = [payload["params"][name] for name in shapes]
+        for (name, shape), entry in zip(shapes.items(), entries):
+            if tuple(entry["shape"]) != shape or \
+                    len(entry["data"]) != math.prod(shape):
                 raise CheckpointError(
-                    f"parameter {name} has shape {arr.shape}, "
-                    f"expected {model.params[name].shape}")
-            model.params[name][...] = arr
+                    f"parameter {name} has shape {tuple(entry['shape'])} "
+                    f"and {len(entry['data'])} values, expected {shape}")
+        model = CriticModel(vocab, feature_dim, hyper,
+                            objective=payload.get("objective", "rank"))
+        model.flat[...] = np.concatenate(
+            [np.array(entry["data"], dtype=np.float64) for entry in entries])
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     for name, arr in model.params.items():
         if not np.all(np.isfinite(arr)):

@@ -155,15 +155,12 @@ def placed_phrases(tokens, slots, taxonomy: Taxonomy):
 def fit_class_lms(dataset: Dataset, alpha: float = 0.1,
                   split: str = "train") -> dict[int, BigramLM]:
     """Fit one bigram model per class on that class's true split sentences."""
-    scene_class = {s.scene_id: s.class_id for s in dataset.scenes}
-    scene_split = {s.scene_id: s.split for s in dataset.scenes}
+    scenes = {s.scene_id: s for s in dataset.scenes}
     corpora: dict[int, list[list[str]]] = {
         p.class_id: [] for p in dataset.profiles}
     for sentence in dataset.sentences:
-        if sentence.foil is not None:
-            continue
-        if scene_split[sentence.scene_id] != split:
-            continue
-        corpora[scene_class[sentence.scene_id]].append(sentence.tokens)
+        scene = scenes[sentence.scene_id]
+        if sentence.foil is None and scene.split == split:
+            corpora[scene.class_id].append(sentence.tokens)
     return {class_id: fit_language_model(corpus, alpha)
             for class_id, corpus in corpora.items()}

@@ -305,32 +305,32 @@ class Dataset:
     def _check_references(self) -> None:
         """Reject records that refer to a class, part, scene or token the
         dataset does not hold, scenes or profiles that leave a part or an
-        attribute category out, profile names that are not strings, and
-        region boxes and keypoints that are not 4 and 2 finite numbers,
-        naming the first such record."""
+        attribute category out, names, splits, tokens and foil originals
+        that are not strings, and region boxes and keypoints that are not 4
+        and 2 finite numbers, naming the first such record."""
         parts = self.taxonomy.parts
-        tokens = {cat: set(self.taxonomy.categories.get(cat, ()))
+        # tuples: membership by equality, so a list or dict is not hashed
+        tokens = {cat: self.taxonomy.categories.get(cat, ())
                   for cat in ATTRIBUTE_CATEGORIES}
         for i, profile in enumerate(self.profiles):
             if profile.class_id != i:
                 raise ConfigurationError(
                     f"dataset profile {i} has class_id {profile.class_id}; "
                     f"profiles must be listed in class-id order")
-            if not isinstance(profile.name, str):
-                raise ConfigurationError(
-                    f"dataset profile {i} has name {profile.name!r}, which "
-                    f"is not a string")
+            _check_string(profile.name, "dataset profile {} has name", i)
             for part in parts:
                 if part not in profile.attributes:
                     raise ConfigurationError(
                         f"dataset profile {i} has no attributes for {part!r}")
-                _check_attributes(f"dataset profile {i} part {part!r}",
-                                  profile.attributes[part], tokens)
+                _check_attributes(profile.attributes[part], tokens,
+                                  "dataset profile {} part {!r}", i, part)
         for scene in self.scenes:
             if not 0 <= scene.class_id < len(self.profiles):
                 raise ConfigurationError(
                     f"dataset scene {scene.scene_id} has class "
                     f"{scene.class_id}, which has no profile")
+            _check_string(scene.split, "dataset scene {} has split",
+                          scene.scene_id)
             for region in scene.regions:
                 if region.part not in parts:
                     raise ConfigurationError(
@@ -342,9 +342,9 @@ class Dataset:
                         f"dataset scene {scene.scene_id} region "
                         f"{region.part!r} has box {list(region.box)}, which "
                         f"is not 4 finite numbers")
-                _check_attributes(
-                    f"dataset scene {scene.scene_id} region {region.part!r}",
-                    region.attrs, tokens)
+                _check_attributes(region.attrs, tokens,
+                                  "dataset scene {} region {!r}",
+                                  scene.scene_id, region.part)
             for part, point in scene.keypoints.items():
                 if len(point) != 2 or not all(map(math.isfinite, point)):
                     raise ConfigurationError(
@@ -362,9 +362,16 @@ class Dataset:
                 raise ConfigurationError(
                     f"dataset sentence {i} names scene {sentence.scene_id}, "
                     f"which is not in the dataset")
+            try:  # one call in C, which fails on a token that is no string
+                "".join(sentence.tokens)
+            except TypeError:
+                for token in sentence.tokens:
+                    _check_string(token, "dataset sentence {} has token", i)
             foil = sentence.foil
             if foil is None:
                 continue
+            _check_string(foil.original,
+                          "dataset sentence {} has foil original", i)
             if not 0 <= foil.index < len(sentence.tokens):
                 raise ConfigurationError(
                     f"dataset sentence {i} has foil index {foil.index} "
@@ -385,15 +392,24 @@ class Dataset:
         return cls.from_json(jsonio.read_json(path))
 
 
-def _check_attributes(record: str, attrs, tokens) -> None:
-    """Every attribute category must hold one of the taxonomy's tokens."""
+def _check_string(value, record: str, *args) -> None:
+    """Reject a non-string, naming the record as in _check_attributes."""
+    if not isinstance(value, str):
+        raise ConfigurationError(
+            f"{record.format(*args)} {value!r}, which is not a string")
+
+
+def _check_attributes(attrs, tokens, record: str, *args) -> None:
+    """Every attribute category must hold one of the taxonomy's tokens. The
+    record is named as record.format(*args), formatted on failure only."""
     for cat, allowed in tokens.items():
         if cat not in attrs:
-            raise ConfigurationError(f"{record} has no {cat!r} attribute")
+            raise ConfigurationError(
+                f"{record.format(*args)} has no {cat!r} attribute")
         if attrs[cat] not in allowed:
             raise ConfigurationError(
-                f"{record} has {cat} {attrs[cat]!r}, which is not a "
-                f"taxonomy {cat} token")
+                f"{record.format(*args)} has {cat} {attrs[cat]!r}, which is "
+                f"not a taxonomy {cat} token")
 
 
 def build_taxonomy(config: WorldConfig, seed: int) -> Taxonomy:

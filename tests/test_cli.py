@@ -569,6 +569,30 @@ def _nan_profile_name(payload):
     payload["profiles"][1]["name"] = float("nan")
 
 
+def _list_token(payload):
+    payload["sentences"][0]["tokens"][1] = ["is"]
+
+
+def _number_token(payload):
+    payload["sentences"][0]["tokens"][0] = 7
+
+
+def _dict_foil_original(payload):
+    _first_foil(payload)["original"] = {}
+
+
+def _list_split(payload):
+    payload["scenes"][0]["split"] = ["train"]
+
+
+def _list_region_token(payload):
+    _wing_region(payload)["attrs"]["color"] = ["red"]
+
+
+def _dict_profile_token(payload):
+    payload["profiles"][1]["attributes"]["wing"]["size"] = {}
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_orphan_sentence, "sentence 0 names scene 99999"),
     (_unknown_class, "scene 0 has class 50"),
@@ -600,6 +624,14 @@ def _nan_profile_name(payload):
     (_nan_keypoint, "scene 0 keypoint 'wing' is [nan, 0.5], which is not 2 "
                     "finite numbers"),
     (_nan_profile_name, "profile 1 has name nan, which is not a string"),
+    (_list_token, "sentence 0 has token ['is'], which is not a string"),
+    (_number_token, "sentence 0 has token 7, which is not a string"),
+    (_dict_foil_original, "has foil original {}, which is not a string"),
+    (_list_split, "scene 0 has split ['train'], which is not a string"),
+    (_list_region_token, "scene 0 region 'wing' has color ['red'], which is "
+                         "not a taxonomy color token"),
+    (_dict_profile_token, "profile 1 part 'wing' has size {}, which is not a "
+                          "taxonomy size token"),
 ])
 def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
                                     expected):

@@ -347,7 +347,11 @@ def test_checkpoint_round_trip(tmp_path, tiny_dataset, grounded_pairs):
                                   loaded.score_many(seqs))
 
 
-def test_checkpoint_rejects_corruption(tmp_path, tiny_dataset):
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a critic was built before its sizes were checked")
+
+
+def test_checkpoint_rejects_corruption(tmp_path, tiny_dataset, monkeypatch):
     model = CriticModel.for_taxonomy(tiny_dataset.taxonomy, SMALL)
     path = tmp_path / "model.json"
 
@@ -384,6 +388,29 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_dataset):
     bad["params"]["w_2"] = entry
     write_json(path, bad)
     with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(path)
+
+    # sizes are checked against the data before any critic is built, so a
+    # size of 10^9 is never allocated
+    bad = dict(payload, hyper=dict(payload["hyper"], hidden_dim=10 ** 9))
+    write_json(path, bad)
+    with monkeypatch.context() as patch:
+        patch.setattr(CriticModel, "__init__", refuse_to_build)
+        with pytest.raises(CheckpointError, match="expected"):
+            load_checkpoint(path)
+
+    bad = dict(payload)
+    bad["params"] = dict(payload["params"])
+    entry = dict(payload["params"]["w_h"])
+    entry["data"] = entry["data"][:-1]
+    bad["params"]["w_h"] = entry
+    write_json(path, bad)
+    with pytest.raises(CheckpointError, match="values, expected"):
+        load_checkpoint(path)
+
+    bad = dict(payload, feature_dim=payload["feature_dim"] + 1)
+    write_json(path, bad)
+    with pytest.raises(CheckpointError, match="parameter w_in has shape"):
         load_checkpoint(path)
 
     bad = dict(payload)
