@@ -145,10 +145,11 @@ def classify(tokens, scene: Scene, model: CriticModel, taxonomy: Taxonomy,
     A sentence with no chunkable phrases cannot be scored and is labelled
     a foil, flagged as such.
     """
-    grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    if not grounder.ground_tokens(tokens):
+    phrases = textproc.chunk_sentence(tokens, taxonomy)
+    if not phrases:
         return ClassifyResult(0.0, False, zero_phrases=True)
-    [prob] = _critic_scorer(model, grounder)([tokens])
+    [prob] = _variant_probs(model, grounding.SceneGrounder(
+        scene, taxonomy, config), [(tuple(tokens), phrases)])
     return ClassifyResult(prob, prob > 0.5)
 
 
@@ -173,26 +174,23 @@ def _critic_probs(model, keys, seqs) -> list[float]:
     return [probs.get(key, 0.0) for key in keys]
 
 
-def _critic_scorer(model, grounder):
-    """_critic_probs of each token sequence in a list, chunked and grounded
-    by grounder."""
-    def score(variants) -> list[float]:
-        keys = [tuple(tokens) for tokens in variants]
-        return _critic_probs(model, keys,
-                             [grounder.ground_tokens(k) for k in keys])
-    return score
+def _variant_probs(model, grounder, variants) -> list[float]:
+    """_critic_probs of (token tuple, phrases) variants, grounded in one
+    grounder call."""
+    keys, sentences = zip(*variants)
+    return _critic_probs(model, keys, grounder.ground_many(sentences))
 
 
-def _holdout_variants(tokens, taxonomy) -> tuple[list[int], list[list[str]]]:
-    """The content-word indices and the sentence without each of them."""
+def _holdout_variants(tokens, taxonomy) -> tuple[list[int], list[tuple]]:
+    """The content-word indices and, without each, (token tuple, phrases)."""
     candidates = content_word_indices(tokens, taxonomy)
     if not candidates:
         raise ValueError("sentence has no content words")
-    return candidates, [list(tokens[:i]) + list(tokens[i + 1:])
-                        for i in candidates]
+    return candidates, [(v, textproc.chunk_sentence(v, taxonomy)) for v in (
+        tuple(tokens[:i]) + tuple(tokens[i + 1:]) for i in candidates)]
 
 
-def _substitution_variants(tokens, foil_index, targets, phrases=()):
+def _substitution_variants(tokens, foil_index, targets, phrases):
     """The targets in lexicographic order and, for each, the sentence with
     it at foil_index: its token tuple and its phrases, edited from phrases
     (the chunking of tokens) by textproc.apply_edits."""
@@ -215,31 +213,27 @@ def detect_foil_word(tokens, scene: Scene, model: CriticModel,
     """Index of the content word whose removal most raises the score."""
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
     candidates, variants = _holdout_variants(tokens, taxonomy)
-    return _first_max(candidates, _critic_scorer(model, grounder)(variants))
+    return _first_max(candidates, _variant_probs(model, grounder, variants))
 
 
 def correct_foil_word(tokens, foil_index: int, scene: Scene,
-                      model: CriticModel, taxonomy: Taxonomy, config,
-                      targets=None) -> str:
-    """Best-scoring substitution for the foiled word.
-
-    The default target vocabulary is every same-category token other than
-    the foiled word itself.
-    """
-    if targets is None:
-        targets = taxonomy.flip_pool(tokens[foil_index])
+                      model: CriticModel, taxonomy: Taxonomy, config) -> str:
+    """Best-scoring substitution for the foiled word among the other
+    same-category tokens (flip_pool); each has the lexicon entry of the
+    word it replaces, so editing the chunking equals chunking again."""
     grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    # any targets may be given, so each variant is chunked
-    ordered, variants = _substitution_variants(tokens, foil_index, targets)
-    return _first_max(ordered, _critic_scorer(model, grounder)(
-        [variant for variant, _ in variants]))
+    ordered, variants = _substitution_variants(
+        tokens, foil_index, taxonomy.flip_pool(tokens[foil_index]),
+        textproc.chunk_sentence(tokens, taxonomy))
+    return _first_max(ordered, _variant_probs(model, grounder, variants))
 
 
 def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
                       config) -> bool:
     """Mean grounding score thresholded at tau; no phrases means foil."""
-    grounder = grounding.SceneGrounder(scene, taxonomy, config)
-    return grounding.mean_grounding_score(grounder.ground_tokens(tokens)) > tau
+    return grounding.mean_grounding_score(grounding.ground_all(
+        textproc.chunk_sentence(tokens, taxonomy), scene, taxonomy,
+        config)) > tau
 
 
 def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
@@ -298,8 +292,7 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
                 targets, substituted = _substitution_variants(
                     ex.tokens, ex.foil_index,
                     taxonomy.flip_pool(ex.tokens[ex.foil_index]), ex.phrases)
-                variants += [(tuple(v), textproc.chunk_sentence(v, taxonomy))
-                             for v in held_out] + substituted
+                variants += held_out + substituted
             tasks.append((ex, at, candidates, targets))
         keys, sentences = zip(*variants)
         seqs = grounders[scene_id].ground_many(sentences)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textproc import AttributePhrase, chunk_sentence
+from .textproc import AttributePhrase
 from .worldsim import GrounderConfig, Scene, Taxonomy
 
 GEOMETRY_DIMS = 4
@@ -129,8 +129,8 @@ def ground_phrase(phrase: AttributePhrase, scene: Scene, taxonomy: Taxonomy,
 class SceneGrounder:
     """One scene's grounding context: its feature matrix, the drawn prefix
     of its score-noise stream (extended only when a later phrase index
-    needs more: successive draws continue one stream), a memo of groundings
-    keyed by (adjectives, noun, phrase index) and a memo of token sequences.
+    needs more: successive draws continue one stream) and a memo of
+    groundings keyed by (adjectives, noun, phrase index).
 
     A grounding depends only on the phrase's words and its index, since the
     noise is drawn per index, so each key is grounded once per scene. Every
@@ -147,7 +147,6 @@ class SceneGrounder:
         self._stream = _noise_stream(config, scene.scene_id)
         self._noise = np.empty(0)
         self._memo: dict[tuple, tuple] = {}
-        self._sentences: dict[tuple, list[GroundedPhrase]] = {}
 
     def ground_many(self, sentences) -> list[list[GroundedPhrase]]:
         """Ground each phrase list of sentences in order. The keys not
@@ -185,18 +184,6 @@ class SceneGrounder:
     def ground(self, phrases) -> list[GroundedPhrase]:
         """Ground one sentence's phrases in order."""
         return self.ground_many([phrases])[0]
-
-    def ground_tokens(self, tokens, phrases=None) -> list[GroundedPhrase]:
-        """Ground a token sequence, chunked unless its phrases are given,
-        once per distinct sequence: a repeat gets the same (read-only) list.
-        """
-        key = tuple(tokens)
-        grounded = self._sentences.get(key)
-        if grounded is None:
-            if phrases is None:
-                phrases = chunk_sentence(key, self.taxonomy)
-            grounded = self._sentences[key] = self.ground(phrases)
-        return grounded
 
 
 class LazyDict(dict):

@@ -11,7 +11,7 @@ chunked: a negative's phrases are edited from its positive's (apply_edits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class RankPair:
     negative: list[str]
     flips: tuple[int, ...]
     split: str
-    # both sides' phrases as mined (a None side is chunked); not written out
+    # both sides' phrases as mined; not written out
     phrases: tuple = field(default=(None, None), repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -204,16 +204,21 @@ def ground_rank_pairs(dataset: Dataset, pairs):
 
     Returns a dict keyed by split whose values are lists of
     (positive grounded sequence, negative grounded sequence) ready for
-    ranker training. Each distinct sentence of a scene is grounded once,
-    from its mined phrases, so pairs with the same positive share one
-    grounded list, and a negative grounds only the phrases its flips changed.
+    ranker training. Each run of pairs from one scene grounds its distinct
+    sentences from their mined phrases in one SceneGrounder call, so pairs
+    with the same positive share one grounded list.
     """
     grounders = scene_grounders({s.scene_id: s for s in dataset.scenes},
                                 dataset.taxonomy, dataset.grounder)
     grouped: dict[str, list] = {}
-    for pair in pairs:
-        grounder = grounders[pair.scene_id]
-        grouped.setdefault(pair.split, []).append(
-            (grounder.ground_tokens(pair.positive, pair.phrases[0]),
-             grounder.ground_tokens(pair.negative, pair.phrases[1])))
+    for scene_id, run in groupby(pairs, lambda pair: pair.scene_id):
+        run = list(run)
+        sentences = {tuple(tokens): phrases for pair in run for tokens, phrases
+                     in zip((pair.positive, pair.negative), pair.phrases)}
+        grounded = dict(zip(sentences, grounders[scene_id].ground_many(
+            sentences.values())))
+        for pair in run:
+            grouped.setdefault(pair.split, []).append(
+                (grounded[tuple(pair.positive)],
+                 grounded[tuple(pair.negative)]))
     return grouped

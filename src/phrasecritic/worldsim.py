@@ -99,6 +99,11 @@ class GrounderConfig:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigurationError(
                     f"{name} must be finite and >= 0, got {value}")
+        if self.feature_noise > 1.0:
+            raise ConfigurationError(
+                f"feature_noise must be <= 1, got {self.feature_noise}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -305,7 +310,8 @@ class Dataset:
     def _check_references(self) -> None:
         """Reject records that refer to a class, part, scene or token the
         dataset does not hold, scenes or profiles that leave a part or an
-        attribute category out, names, splits, tokens and foil originals
+        attribute category out, scenes without a keypoint for every part or
+        with a split not in SPLITS, names, splits, tokens and foil originals
         that are not strings, and region boxes and keypoints that are not 4
         and 2 finite numbers, naming the first such record."""
         parts = self.taxonomy.parts
@@ -331,6 +337,10 @@ class Dataset:
                     f"{scene.class_id}, which has no profile")
             _check_string(scene.split, "dataset scene {} has split",
                           scene.scene_id)
+            if scene.split not in SPLITS:
+                raise ConfigurationError(
+                    f"dataset scene {scene.scene_id} has split "
+                    f"{scene.split!r}, which is not one of {SPLITS}")
             for region in scene.regions:
                 if region.part not in parts:
                     raise ConfigurationError(
@@ -355,6 +365,10 @@ class Dataset:
                 if part not in present:
                     raise ConfigurationError(
                         f"dataset scene {scene.scene_id} has no region for "
+                        f"{part!r}")
+                if part not in scene.keypoints:
+                    raise ConfigurationError(
+                        f"dataset scene {scene.scene_id} has no keypoint for "
                         f"{part!r}")
         scene_ids = {scene.scene_id for scene in self.scenes}
         for i, sentence in enumerate(self.sentences):

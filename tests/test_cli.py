@@ -585,6 +585,18 @@ def _list_split(payload):
     payload["scenes"][0]["split"] = ["train"]
 
 
+def _unknown_split(payload):
+    payload["scenes"][0]["split"] = "zz"
+
+
+def _missing_keypoint(payload):
+    del payload["scenes"][0]["keypoints"]["wing"]
+
+
+def _negative_grounder_seed(payload):
+    payload["grounder"]["seed"] = -1
+
+
 def _list_region_token(payload):
     _wing_region(payload)["attrs"]["color"] = ["red"]
 
@@ -628,6 +640,10 @@ def _dict_profile_token(payload):
     (_number_token, "sentence 0 has token 7, which is not a string"),
     (_dict_foil_original, "has foil original {}, which is not a string"),
     (_list_split, "scene 0 has split ['train'], which is not a string"),
+    (_unknown_split, "scene 0 has split 'zz', which is not one of "
+                     "('train', 'val', 'test')"),
+    (_missing_keypoint, "scene 0 has no keypoint for 'wing'"),
+    (_negative_grounder_seed, "seed must be >= 0, got -1"),
     (_list_region_token, "scene 0 region 'wing' has color ['red'], which is "
                          "not a taxonomy color token"),
     (_dict_profile_token, "profile 1 part 'wing' has size {}, which is not a "
@@ -736,11 +752,14 @@ def test_pairs_per_scene_below_one_exits_5(workspace, tmp_path, capsys,
      "feature_noise must be finite and >= 0, got nan"),
     ("--feature-noise", "inf",
      "feature_noise must be finite and >= 0, got inf"),
+    ("--feature-noise", "1.5", "feature_noise must be <= 1, got 1.5"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_non_finite_synth_noise_exits_5(tmp_path, capsys, flag, value,
                                         expected):
+    # flag comes last, so it overrides SYNTH_FLAGS' --seed
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "ds.json"),
-                       flag, value, *SYNTH_FLAGS)
+                       *SYNTH_FLAGS, flag, value)
     assert code == EXIT_BAD_CONFIG
     record = stderr_record(err)
     assert record["error"] == "ConfigurationError"

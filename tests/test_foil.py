@@ -12,8 +12,9 @@ from phrasecritic.foil import (FoilExample, baseline_classify,
                                content_word_indices, correct_foil_word,
                                detect_foil_word, run_foil_eval,
                                train_foil_classifier, tune_tau,
-                               _best_threshold, _critic_scorer, _first_max,
-                               _holdout_variants, _substitution_variants)
+                               _best_threshold, _first_max,
+                               _holdout_variants, _substitution_variants,
+                               _variant_probs)
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import ATTRIBUTE_CATEGORIES
 
@@ -37,11 +38,13 @@ def truth_scorer(scene, taxonomy):
 def holdout_detect(tokens, taxonomy, score_fn):
     """The task's pick with a one-sentence scorer."""
     candidates, variants = _holdout_variants(tokens, taxonomy)
-    return _first_max(candidates, [score_fn(v) for v in variants])
+    return _first_max(candidates, [score_fn(list(v)) for v, _ in variants])
 
 
 def substitution_correct(tokens, foil_index, targets, score_fn):
-    ordered, variants = _substitution_variants(tokens, foil_index, targets)
+    # the scorers read only the tokens, so no phrases are edited
+    ordered, variants = _substitution_variants(tokens, foil_index, targets,
+                                               [])
     return _first_max(ordered, [score_fn(list(v)) for v, _ in variants])
 
 
@@ -189,6 +192,28 @@ def test_correct_foil_word_default_targets(tiny_dataset, model, scene_by_id):
                             tiny_dataset.taxonomy, tiny_dataset.grounder)
     assert got in tiny_dataset.taxonomy.flip_pool(ex.tokens[ex.foil_index])
     assert got != ex.tokens[ex.foil_index]
+
+
+def test_correct_foil_word_equals_brute_force_classify(tiny_dataset, model,
+                                                       scene_by_id):
+    """At every content index of a few true test sentences, part nouns and
+    the alias bird included, the pick is the first sorted flip_pool token
+    whose substituted sentence, chunked from scratch, has the highest
+    classify probability."""
+    taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
+    examples = [ex for ex in build_foil_examples(tiny_dataset, "test")
+                if ex.label][:4]
+    replaced = set()
+    for ex in examples:
+        scene, t = scene_by_id[ex.scene_id], ex.tokens
+        for k in content_word_indices(t, taxonomy):
+            pool = sorted(taxonomy.flip_pool(t[k]))
+            probs = [classify(t[:k] + [w] + t[k + 1:], scene, model,
+                              taxonomy, config).probability for w in pool]
+            assert correct_foil_word(t, k, scene, model, taxonomy,
+                                     config) == pool[int(np.argmax(probs))]
+            replaced.add(t[k])
+    assert "bird" in replaced and replaced & set(taxonomy.parts)
 
 
 # -- baseline threshold ------------------------------------------------------------
@@ -440,19 +465,19 @@ def test_per_scene_scoring_equals_per_example_scoring(tiny_dataset, model,
         scene = scene_by_id[scene_id]
         per_scene = dict(zip(keys, probs))
         assert [per_scene[k] for k in keys] == probs
-        grounder = grounding.SceneGrounder(scene, taxonomy, config)
-        assert n_rows == len({k for k in keys if grounder.ground_tokens(k)})
+        assert n_rows == len({k for k in keys
+                              if textproc.chunk_sentence(k, taxonomy)})
         for ex in run:
-            variants = [ex.tokens]
+            variants = [(tuple(ex.tokens), ex.phrases)]
             if not ex.label:
                 candidates, held_out = _holdout_variants(ex.tokens, taxonomy)
                 targets, substituted = _substitution_variants(
                     ex.tokens, ex.foil_index,
-                    taxonomy.flip_pool(ex.tokens[ex.foil_index]))
-                variants += held_out + [list(v) for v, _ in substituted]
-            own = _critic_scorer(model, grounding.SceneGrounder(
-                scene, taxonomy, config))(variants)
-            batched = [per_scene[tuple(v)] for v in variants]
+                    taxonomy.flip_pool(ex.tokens[ex.foil_index]), ex.phrases)
+                variants += held_out + substituted
+            own = _variant_probs(model, grounding.SceneGrounder(
+                scene, taxonomy, config), variants)
+            batched = [per_scene[key] for key, _ in variants]
             assert np.allclose(batched, own, rtol=0.0, atol=1e-12)
             assert (batched[0] > 0.5) == (own[0] > 0.5)
             hits[0] += (own[0] > 0.5) == ex.label
@@ -467,8 +492,7 @@ def test_per_scene_scoring_equals_per_example_scoring(tiny_dataset, model,
                 _first_max(targets, own[cor])
             hits[1] += _first_max(candidates, own[det]) == ex.foil_index
             hits[2] += _first_max(targets, own[cor]) == ex.correction
-            restoring = tuple(variants[cor.start
-                                       + targets.index(ex.correction)])
+            restoring = variants[cor.start + targets.index(ex.correction)][0]
             assert restoring == original and keys.count(original) >= 2
             assert {p for k, p in zip(keys, probs) if k == original} == \
                 {per_scene[original]}
@@ -491,11 +515,12 @@ def test_coinciding_holdouts_blame_the_smaller_index(tiny_dataset, taxonomy):
     tokens = ["red", "red", "wing"]
     candidates, variants = _holdout_variants(tokens, taxonomy)
     assert candidates == [0, 1, 2]
-    assert variants[0] == variants[1] == ["red", "wing"]
-    assert textproc.chunk_sentence(variants[2], taxonomy) == []
+    assert variants[0] == variants[1] == \
+        (("red", "wing"), textproc.chunk_sentence(["red", "wing"], taxonomy))
+    assert variants[2] == (("red", "red"), [])
     scene = tiny_dataset.scenes[0]
     grounder = grounding.SceneGrounder(scene, taxonomy, tiny_dataset.grounder)
-    assert _critic_scorer(RowOrderModel(), grounder)(variants) == \
+    assert _variant_probs(RowOrderModel(), grounder, variants) == \
         [0.5, 0.5, 0.0]
     assert detect_foil_word(tokens, scene, RowOrderModel(), taxonomy,
                             tiny_dataset.grounder) == 0

@@ -198,22 +198,6 @@ def test_ground_all_equals_individual_grounding(tiny_dataset):
     assert ground_all([], tiny_dataset.scenes[0], taxonomy, config) == []
 
 
-def test_ground_tokens_memoises_by_tokens(tiny_dataset):
-    taxonomy = tiny_dataset.taxonomy
-    config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
-    sentence = tiny_dataset.sentences[0]
-    scene = next(s for s in tiny_dataset.scenes
-                 if s.scene_id == sentence.scene_id)
-    grounder = SceneGrounder(scene, taxonomy, config)
-    first = grounder.ground_tokens(sentence.tokens)
-    assert first
-    assert_same_groundings(first, ground_all(
-        chunk_sentence(sentence.tokens, taxonomy), scene, taxonomy, config))
-    # a repeat, even as another sequence type, returns the very same list
-    assert grounder.ground_tokens(tuple(sentence.tokens)) is first
-    assert grounder.ground_tokens(["this", "is", "a", "bird"]) == []
-
-
 def test_scene_features_shape(tiny_dataset):
     feats = scene_features(tiny_dataset.scenes[0], tiny_dataset.taxonomy,
                            NOISELESS)

@@ -323,6 +323,28 @@ def test_ground_rank_pairs_matches_ground_all(tiny_dataset, scene_by_id):
         assert all(seq is seqs[0] for seq in seqs)
 
 
+def test_ground_rank_pairs_grounds_each_scene_in_one_call(tiny_dataset,
+                                                          monkeypatch):
+    """One SceneGrounder.ground_many call per scene with pairs, over that
+    scene's distinct pair sentences (several positives per scene)."""
+    pairs = build_rank_pairs(tiny_dataset, k=4, sentences_per_scene=2)
+    calls = []
+    ground_many = grounding.SceneGrounder.ground_many
+
+    def recording(self, sentences):
+        calls.append((self.scene.scene_id, len(sentences)))
+        return ground_many(self, sentences)
+
+    monkeypatch.setattr(grounding.SceneGrounder, "ground_many", recording)
+    ground_rank_pairs(tiny_dataset, pairs)
+    scene_ids = list(dict.fromkeys(p.scene_id for p in pairs))
+    assert [scene_id for scene_id, _ in calls] == scene_ids
+    assert [n for _, n in calls] == [
+        len({tuple(tokens) for p in pairs if p.scene_id == scene_id
+             for tokens in (p.positive, p.negative)})
+        for scene_id in scene_ids]
+
+
 def test_pairs_to_json_matches_schema(tiny_dataset):
     jsonschema = pytest.importorskip("jsonschema")
     payload = pairs_to_json(build_rank_pairs(tiny_dataset, k=2))
