@@ -20,6 +20,11 @@ loss-and-gradient function; the rank objective stacks each batch's
 positives over their negatives in a single forward. All parameters live in
 one flat vector (``params`` holds named views into it), so a training step
 is one momentum update over that vector.
+
+A rank batch in which every pair already clears the margin has a zero
+gradient, so it skips the backward pass. That changes no bit: with finite
+parameters every term the backward pass would add is +-0.0, so the zeroed
+gradient stays +0.0 and the momentum step is the one a zero gradient gives.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ class CriticHyper:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        if not self.lr > 0.0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigurationError(
+                f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
@@ -302,6 +308,8 @@ def _loss_and_grads(model: CriticModel, packed: PackedSequences, kind: str,
         b = len(scores) // 2
         hinge = rank_loss(scores[:b], scores[b:], model.hyper.margin)
         loss = float(np.mean(hinge))
+        if not hinge.any():  # a zero gradient: grads stay +0.0 untouched
+            return loss
         active = (hinge > 0.0).astype(float) / b
         d_scores = np.concatenate([-active, active])
     else:

@@ -1,13 +1,15 @@
 """Critic forward/backward correctness, training behaviour, checkpoints."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phrasecritic import grounding, textproc
-from phrasecritic.critic import (CriticHyper, CriticModel, UNK, _forward,
-                                 gradients, load_checkpoint, pack_sequences,
+from phrasecritic import critic, grounding, textproc
+from phrasecritic.critic import (CriticHyper, CriticModel, UNK, _backward,
+                                 _forward, gradients, load_checkpoint,
+                                 pack_sequences,
                                  pairwise_accuracy, rank_loss,
                                  save_checkpoint, train_classifier,
                                  train_ranker)
@@ -194,6 +196,37 @@ def test_rank_gradient_zero_when_margin_cleared(tiny_dataset, grounded_pairs):
     model.hyper.margin = 1.0
 
 
+@pytest.fixture
+def backward_calls(monkeypatch):
+    """One entry per critic backward pass run while the test lasts."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))  # the number of scored rows
+        return _backward(*args)
+
+    monkeypatch.setattr(critic, "_backward", counted)
+    return calls
+
+
+def test_satisfied_rank_batch_skips_the_backward_pass(
+        tiny_dataset, grounded_pairs, backward_calls):
+    pair = grounded_pairs["train"][0]
+    idle = CriticModel.for_taxonomy(tiny_dataset.taxonomy,
+                                    replace(SMALL, margin=-1e6), seed=2)
+    loss, grads = gradients(idle, [pair], "rank")
+    assert loss == 0.0
+    assert backward_calls == []
+    for g in grads.values():  # +0.0 everywhere, not -0.0
+        assert not g.any() and not np.signbit(g).any()
+    active = CriticModel.for_taxonomy(tiny_dataset.taxonomy,
+                                      replace(SMALL, margin=1e6), seed=2)
+    gradients(active, [pair], "rank")
+    assert backward_calls == [2]
+    gradients(idle, [(pair[0], True), (pair[1], False)], "binary")
+    assert backward_calls == [2, 2]
+
+
 # -- training -----------------------------------------------------------------
 
 def test_train_ranker_learns(tiny_dataset, grounded_pairs):
@@ -299,6 +332,58 @@ def test_flat_update_equals_a_per_name_update(tiny_dataset, grounded_pairs,
                                   ref.flatten_params())
 
 
+def always_backward_training(model, pairs, val_pairs, seed):
+    """Rank training on the batches and in the order _run_training uses,
+    with a backward pass on every batch, satisfied or not; returns the
+    per-epoch mean losses and validation accuracies."""
+    hyper, n = model.hyper, len(pairs)
+    packed = pack_sequences([p for p, _ in pairs] + [q for _, q in pairs],
+                            model)
+    rng = np.random.default_rng([seed, 1])
+    velocity = np.zeros_like(model.flat)
+    losses, metrics = [], []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, hyper.batch_size):
+            rows = order[lo:lo + hyper.batch_size]
+            b = len(rows)
+            scores, cache = _forward(
+                model, packed.take(np.concatenate([rows, rows + n])),
+                want_cache=True)
+            hinge = np.maximum(0.0, scores[b:] - scores[:b] + hyper.margin)
+            active = (hinge > 0.0) / b
+            grad = np.zeros_like(model.flat)
+            _backward(model, cache, np.concatenate([-active, active]),
+                      model.views(grad))
+            total += float(np.mean(hinge)) * b
+            velocity *= hyper.momentum
+            velocity += grad
+            model.flat -= hyper.lr * velocity
+        losses.append(total / n)
+        metrics.append(pairwise_accuracy(model, val_pairs))
+    return losses, metrics
+
+
+def test_skipped_batches_equal_an_always_backward_reference(
+        tiny_dataset, grounded_pairs, backward_calls):
+    """Skipping the backward pass of satisfied rank batches, while the
+    momentum still carries through them, changes no bit."""
+    hyper = CriticHyper(embed_dim=8, input_dim=16, hidden_dim=16,
+                        head_dim=16, epochs=30, batch_size=8, lr=0.1)
+    pairs = grounded_pairs["train"][:60]  # a short last batch too
+    val = grounded_pairs["val"][:16]
+    model = CriticModel.for_taxonomy(tiny_dataset.taxonomy, hyper, seed=8)
+    report = train_ranker(model, pairs, val, seed=8)
+    batches = hyper.epochs * math.ceil(len(pairs) / hyper.batch_size)
+    assert 0 < len(backward_calls) < batches
+    ref = CriticModel.for_taxonomy(tiny_dataset.taxonomy, hyper, seed=8)
+    losses, metrics = always_backward_training(ref, pairs, val, seed=8)
+    np.testing.assert_array_equal(model.flat, ref.flat)
+    assert report.train_loss == losses
+    assert report.val_metric == metrics
+
+
 def test_infinite_loss_aborts_with_partial_report(tiny_dataset,
                                                   grounded_pairs):
     wild = CriticHyper(embed_dim=4, input_dim=5, hidden_dim=4, head_dim=3,
@@ -371,6 +456,11 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_dataset, monkeypatch):
     bad = dict(payload, hyper=dict(payload["hyper"], batch_size=0))
     write_json(path, bad)
     with pytest.raises(CheckpointError, match="batch_size"):
+        load_checkpoint(path)
+
+    bad = dict(payload, hyper=dict(payload["hyper"], lr=float("inf")))
+    write_json(path, bad)
+    with pytest.raises(CheckpointError, match="lr must be finite"):
         load_checkpoint(path)
 
     bad = dict(payload)

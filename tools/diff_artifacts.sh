@@ -6,14 +6,17 @@
 # With each checkout's src/ on PYTHONPATH, runs synth (6 classes x 20
 # scenes, 2 foils per scene, plus any extra synth flags), rank training
 # with --pairs-out and --report-out, rank training with --pair-sentences 3
-# and --pairs-out (several positives per scene), binary training (batch
-# 16, hidden 16) with --report-out, then rank, rank --error-rate 0, rank
-# --error-rate 1 --candidates 30 (every mention from the scene, then from
-# the class prior), counterfactual, eval, eval --limit 5, foil, foil
+# and --pairs-out (several positives per scene), rank training as the
+# explain benchmark workload sets it up (--pairs-per-scene 2 --epochs 20
+# --lr 0.1) with --report-out (a second learning rate on which skipped
+# backward passes must carry the momentum bit for bit), binary training
+# (batch 16, hidden 16) with --report-out, then rank, rank --error-rate 0,
+# rank --error-rate 1 --candidates 30 (every mention from the scene, then
+# from the class prior), counterfactual, eval, eval --limit 5, foil, foil
 # --split val --tau 0.5 (a given threshold on a second split), and foil
 # --split train (tau tuned; the split with the most scenes, hence the
-# most per-scene scoring batches). synth
-# (every scene) and rank also write --emit-svg directories.
+# most per-scene scoring batches). synth (every scene) and rank also
+# write --emit-svg directories.
 # Every artifact is compared with cmp and each SVG directory with diff -r;
 # the exit status is non-zero if any command fails or any output differs.
 # The line counts of both checkouts are printed first: per module of
@@ -35,7 +38,7 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/diff_artifacts.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
 ARTIFACTS="dataset pairs critic train_report pairs_ps3 critic_ps3
-foil_critic foil_train_report ranked ranked_err0 ranked_err1
+critic_lr01 train_report_lr01 foil_critic foil_train_report ranked ranked_err0 ranked_err1
 counterfactuals metrics metrics_limit5 foil_report foil_report_val
 foil_report_train"
 
@@ -53,6 +56,9 @@ build() {
         --report-out "$out/train_report.json"
     pc train --dataset "$ds" --objective rank --out "$out/critic_ps3.json" \
         --seed "$seed" --pair-sentences 3 --pairs-out "$out/pairs_ps3.json"
+    pc train --dataset "$ds" --objective rank --out "$out/critic_lr01.json" \
+        --seed "$seed" --pairs-per-scene 2 --epochs 20 --lr 0.1 \
+        --report-out "$out/train_report_lr01.json"
     pc train --dataset "$ds" --objective binary \
         --out "$out/foil_critic.json" --seed "$seed" --batch-size 16 \
         --hidden-dim 16 --report-out "$out/foil_train_report.json"
