@@ -288,20 +288,6 @@ def test_corrupt_checkpoint_exits_4(workspace, tmp_path, capsys):
     assert stderr_record(err)["error"] == "CheckpointError"
 
 
-def test_checkpoint_with_infinite_lr_exits_4(workspace, tmp_path, capsys):
-    payload = read_json(workspace["rank"])
-    payload["hyper"]["lr"] = float("inf")
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "rank", "--dataset", workspace["ds"],
-                       "--model", str(bad), "--out", str(tmp_path / "x.json"))
-    assert code == EXIT_BAD_CHECKPOINT
-    record = stderr_record(err)
-    assert record["error"] == "CheckpointError"
-    assert "lr must be finite and > 0, got inf" in record["message"]
-    assert not (tmp_path / "x.json").exists()
-
-
 def test_checkpoint_with_empty_vocab_exits_4(workspace, tmp_path, capsys):
     payload = read_json(workspace["rank"])
     payload["vocab"] = []

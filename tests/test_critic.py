@@ -181,48 +181,39 @@ def test_gradients_rejects_unknown_kind(small_model, grounded_pairs):
         gradients(small_model, grounded_pairs["train"][:1], "triplet")
 
 
-def test_rank_gradient_zero_when_margin_cleared(tiny_dataset, grounded_pairs):
-    model = CriticModel.for_taxonomy(tiny_dataset.taxonomy, SMALL, seed=2)
-    pair = grounded_pairs["train"][0]
-    # enlarge the margin so the pair is active, then shrink it to deactivate
-    model.hyper.margin = 1e6
-    loss_active, grads_active = gradients(model, [pair], "rank")
-    assert loss_active > 0.0
-    assert any(np.abs(g).max() > 0.0 for g in grads_active.values())
-    model.hyper.margin = -1e6
-    loss_idle, grads_idle = gradients(model, [pair], "rank")
-    assert loss_idle == 0.0
-    assert all(np.abs(g).max() == 0.0 for g in grads_idle.values())
-    model.hyper.margin = 1.0
-
-
 @pytest.fixture
 def backward_calls(monkeypatch):
-    """One entry per critic backward pass run while the test lasts."""
+    """One entry per critic backward pass run while the test lasts: the
+    number of scored rows."""
     calls = []
 
     def counted(*args):
-        calls.append(len(args[2]))  # the number of scored rows
+        calls.append(len(args[2]))
         return _backward(*args)
 
     monkeypatch.setattr(critic, "_backward", counted)
     return calls
 
 
-def test_satisfied_rank_batch_skips_the_backward_pass(
-        tiny_dataset, grounded_pairs, backward_calls):
+def test_rank_gradient_zero_when_margin_cleared(tiny_dataset, grounded_pairs,
+                                                backward_calls):
+    """A satisfied rank batch skips the backward pass and leaves every
+    gradient +0.0; an active rank batch and a binary batch run it."""
     pair = grounded_pairs["train"][0]
-    idle = CriticModel.for_taxonomy(tiny_dataset.taxonomy,
-                                    replace(SMALL, margin=-1e6), seed=2)
-    loss, grads = gradients(idle, [pair], "rank")
-    assert loss == 0.0
-    assert backward_calls == []
-    for g in grads.values():  # +0.0 everywhere, not -0.0
-        assert not g.any() and not np.signbit(g).any()
+    # a huge margin makes the pair active, a hugely negative one satisfied
     active = CriticModel.for_taxonomy(tiny_dataset.taxonomy,
                                       replace(SMALL, margin=1e6), seed=2)
-    gradients(active, [pair], "rank")
+    loss_active, grads_active = gradients(active, [pair], "rank")
+    assert loss_active > 0.0
+    assert any(np.abs(g).max() > 0.0 for g in grads_active.values())
     assert backward_calls == [2]
+    idle = CriticModel.for_taxonomy(tiny_dataset.taxonomy,
+                                    replace(SMALL, margin=-1e6), seed=2)
+    loss_idle, grads_idle = gradients(idle, [pair], "rank")
+    assert loss_idle == 0.0
+    assert backward_calls == [2]
+    for g in grads_idle.values():  # +0.0 everywhere, not -0.0
+        assert not g.any() and not np.signbit(g).any()
     gradients(idle, [(pair[0], True), (pair[1], False)], "binary")
     assert backward_calls == [2, 2]
 
