@@ -8,7 +8,8 @@ selection strategies).
 
 Failures print a one-line JSON record to stderr and exit with a stable
 code: 2 for usage errors, 3 for missing files, 4 for unreadable
-checkpoints, 5 for invalid configuration or data, 1 otherwise. Relative
+checkpoints, 5 for invalid configuration or data, 6 when training
+diverges (a non-finite loss or score), 1 otherwise. Relative
 output paths are resolved against PHRASECRITIC_OUTDIR when it is set.
 """
 
@@ -27,7 +28,8 @@ import numpy as np
 from . import explain, foil, generation, metrics, negatives, render, textproc
 from .critic import (CriticHyper, CriticModel, load_checkpoint,
                      save_checkpoint, train_ranker)
-from .errors import CheckpointError, ConfigurationError, GenerationError
+from .errors import (CheckpointError, ConfigurationError, GenerationError,
+                     TrainingDivergedError)
 from .jsonio import write_json
 from .worldsim import Dataset, WorldConfig, generate_dataset
 
@@ -35,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_BAD_CHECKPOINT = 4
 EXIT_BAD_CONFIG = 5
+EXIT_DIVERGED = 6
 
 
 def _resolve_out(path: str, directory: bool = False) -> str:
@@ -383,6 +386,8 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_BAD_CHECKPOINT)
     except (ConfigurationError, GenerationError, ValueError) as exc:
         return _fail(exc, EXIT_BAD_CONFIG)
+    except TrainingDivergedError as exc:
+        return _fail(exc, EXIT_DIVERGED)
     except Exception as exc:  # pragma: no cover - last resort
         return _fail(exc, 1)
 

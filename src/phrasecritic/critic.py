@@ -367,6 +367,9 @@ class TrainReport:
                 if key != "wall_clock"}
 
 
+# Overflow on the way to divergence is not reported: the non-finite checks
+# below turn it into a TrainingDivergedError.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_training(model: CriticModel, forward_loss, n_examples: int,
                   val_metric, seed: int) -> TrainReport:
     if n_examples == 0:

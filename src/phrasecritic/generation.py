@@ -11,6 +11,7 @@ meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +117,7 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
     attrs = {}  # the first region of a part wins, as in Scene.region_for
     for region in scene.regions:
         attrs.setdefault(region.part, region.attrs)
+    parts = worldsim._part_pool(taxonomy)
     candidates = []
     for _ in range(n):
         frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)
@@ -125,7 +127,7 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
             prior = profile.attributes["body"]["color"]
             bird_color = prior if rng.random() < error_rate else true
         picks = []
-        for part in worldsim._pick_parts(taxonomy, rng, n_parts):
+        for part in worldsim._pick_parts(parts, rng, n_parts):
             category = worldsim._pick_category(rng)
             true = attrs[part][category]
             prior = profile.attributes[part][category]
@@ -145,11 +147,17 @@ def placed_phrases(tokens, slots, taxonomy: Taxonomy):
     """The one-adjective phrases at compose_frame's (adjective, noun)
     positions, with categories from the taxonomy lexicon."""
     lexicon = taxonomy.lexicon
-    return [textproc.AttributePhrase(
-        adjectives=(tokens[a],), noun=tokens[p],
-        span=(min(a, p), max(a, p) + 1),
-        categories=(lexicon[tokens[a]][1],),
-        adj_positions=(a,), noun_position=p) for a, p in slots]
+    return [_placed_phrase(tokens[a], tokens[p], a, p, lexicon[tokens[a]][1])
+            for a, p in slots]
+
+
+@functools.cache
+def _placed_phrase(adjective, noun, a, p, category):
+    """One phrase per (adjective, noun, positions, category): the phrase is
+    frozen, so every candidate that places it shares one instance."""
+    return textproc.AttributePhrase(
+        adjectives=(adjective,), noun=noun, span=(min(a, p), max(a, p) + 1),
+        categories=(category,), adj_positions=(a,), noun_position=p)
 
 
 def fit_class_lms(dataset: Dataset, alpha: float = 0.1,

@@ -308,13 +308,22 @@ class Dataset:
         return dataset
 
     def _check_references(self) -> None:
-        """Reject records that refer to a class, part, scene or token the
-        dataset does not hold, scenes or profiles that leave a part or an
-        attribute category out, scenes without a keypoint for every part or
-        with a split not in SPLITS, names, splits, tokens and foil originals
-        that are not strings, and region boxes and keypoints that are not 4
-        and 2 finite numbers, naming the first such record."""
+        """Reject a taxonomy without a body part or with fewer other parts
+        than a frame mentions, records that refer to a class, part, scene
+        or token the dataset does not hold, scenes or profiles that leave a
+        part or an attribute category out, scenes without a keypoint for
+        every part or with a split not in SPLITS, names, splits, tokens and
+        foil originals that are not strings, and region boxes and keypoints
+        that are not 4 and 2 finite numbers, naming the first such
+        record."""
         parts = self.taxonomy.parts
+        most = max(n_parts for _, _, n_parts in _FRAMES)
+        if "body" not in parts:
+            raise ConfigurationError("dataset taxonomy has no 'body' part")
+        if len(parts) <= most:
+            raise ConfigurationError(
+                f"dataset taxonomy has {len(parts) - 1} parts besides 'body'"
+                f"; the sentence frames mention up to {most}")
         # tuples: membership by equality, so a list or dict is not hashed
         tokens = {cat: self.taxonomy.categories.get(cat, ())
                   for cat in ATTRIBUTE_CATEGORIES}
@@ -574,10 +583,25 @@ def _pick_frame(rng) -> tuple[int, bool, int]:
     return _FRAMES[int(rng.integers(len(_FRAMES)))]
 
 
-def _pick_parts(taxonomy, rng, count):
-    pool = [p for p in taxonomy.parts if p != "body"]
-    idx = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in sorted(int(i) for i in idx)]
+def _part_pool(taxonomy) -> list[str]:
+    """The parts a frame may mention besides the bird (body) itself."""
+    return [p for p in taxonomy.parts if p != "body"]
+
+
+def _pick_parts(pool, rng, count) -> list[str]:
+    """What rng.choice(len(pool), count, replace=False) picks, in pool
+    order, with the stream left where choice leaves it: choice's Floyd
+    sampling and its shuffle (whose order sorting drops, but whose draws
+    advance the stream) replayed as the same bounded rng.integers draws."""
+    n = len(pool)
+    picked = []
+    for j in range(n - count, n):
+        t = int(rng.integers(j + 1))
+        picked.append(j if t in picked else t)
+    for i in range(count - 1, 0, -1):
+        rng.integers(i + 1)
+    picked.sort()
+    return [pool[i] for i in picked]
 
 
 def _choice_cdf(weights) -> list[float]:
@@ -607,7 +631,7 @@ def ground_truth_sentence(scene: Scene, taxonomy: Taxonomy, seed) -> Sentence:
     if uses_bird:
         bird_color = scene.region_for("body").attrs["color"]
     picks = []
-    for part in _pick_parts(taxonomy, rng, n_parts):
+    for part in _pick_parts(_part_pool(taxonomy), rng, n_parts):
         category = _pick_category(rng)
         picks.append((scene.region_for(part).attrs[category], part))
     tokens, _ = compose_frame(frame_id, bird_color, picks)

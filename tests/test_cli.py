@@ -2,12 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phrasecritic
 from phrasecritic.cli import (EXIT_BAD_CHECKPOINT, EXIT_BAD_CONFIG,
-                              EXIT_MISSING_FILE, _from_args, build_parser,
-                              main)
+                              EXIT_DIVERGED, EXIT_MISSING_FILE, _from_args,
+                              build_parser, main)
 from phrasecritic.critic import CriticHyper, CriticModel
 from phrasecritic.explain import DEFAULT_FLUENCY_THRESHOLD
 from phrasecritic.jsonio import read_json
@@ -363,6 +367,27 @@ def test_bad_hyper_exits_5(workspace, tmp_path, capsys, flag, value):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("objective", ["rank", "binary"])
+def test_diverging_training_exits_6(workspace, tmp_path, objective):
+    """A finite but huge learning rate overflows the critic's products;
+    stderr holds the one error record and no numpy warning. In a
+    subprocess, since pytest would capture the warnings."""
+    src = str(Path(phrasecritic.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "phrasecritic.cli", "train",
+         "--dataset", workspace["ds"], "--out", str(tmp_path / "m.json"),
+         "--objective", objective, "--lr", "1e300", "--epochs", "5"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_DIVERGED
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "TrainingDivergedError",
+                                "message": "non-finite critic score "
+                                           "encountered",
+                                "code": EXIT_DIVERGED}
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command, model", [
     ("foil", "rank"), ("rank", "binary"), ("counterfactual", "binary"),
     ("eval", "binary"),
@@ -597,6 +622,29 @@ def _negative_grounder_seed(payload):
     payload["grounder"]["seed"] = -1
 
 
+def _keep_parts(payload, parts):
+    """Drop every other part from the taxonomy, scenes and profiles."""
+    taxonomy = payload["taxonomy"]
+    taxonomy["parts"] = [p for p in taxonomy["parts"] if p in parts]
+    taxonomy["kappa"] = {p: taxonomy["kappa"][p] for p in parts}
+    taxonomy["aliases"] = {noun: part for noun, part
+                           in taxonomy["aliases"].items() if part in parts}
+    for scene in payload["scenes"]:
+        scene["regions"] = [r for r in scene["regions"] if r["part"] in parts]
+        scene["keypoints"] = {p: scene["keypoints"][p] for p in parts}
+    for profile in payload["profiles"]:
+        profile["attributes"] = {p: profile["attributes"][p] for p in parts}
+
+
+def _no_body(payload):
+    _keep_parts(payload, [p for p in payload["taxonomy"]["parts"]
+                          if p != "body"])
+
+
+def _two_parts_besides_body(payload):
+    _keep_parts(payload, ["beak", "head", "body"])
+
+
 def _list_region_token(payload):
     _wing_region(payload)["attrs"]["color"] = ["red"]
 
@@ -644,6 +692,9 @@ def _dict_profile_token(payload):
                      "('train', 'val', 'test')"),
     (_missing_keypoint, "scene 0 has no keypoint for 'wing'"),
     (_negative_grounder_seed, "seed must be >= 0, got -1"),
+    (_no_body, "taxonomy has no 'body' part"),
+    (_two_parts_besides_body, "taxonomy has 2 parts besides 'body'; the "
+                              "sentence frames mention up to 3"),
     (_list_region_token, "scene 0 region 'wing' has color ['red'], which is "
                          "not a taxonomy color token"),
     (_dict_profile_token, "profile 1 part 'wing' has size {}, which is not a "

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from phrasecritic import (chunk_sentence, fit_class_lms, fit_language_model,
-                          fluency, sample_candidates, worldsim)
+from phrasecritic import (Taxonomy, chunk_sentence, fit_class_lms,
+                          fit_language_model, fluency, sample_candidates,
+                          worldsim)
 from phrasecritic.generation import END, START, UNK, placed_phrases
 from phrasecritic.metrics import phrase_correct
 
@@ -174,12 +175,30 @@ def test_placed_phrases_equal_the_chunker(taxonomy, frame_id):
     assert checked == 1 + 7 * 3 + 21 * 9 + 35 * 27
 
 
+def test_placed_phrases_take_categories_from_each_taxonomy(taxonomy):
+    """Shared phrase instances are keyed by category too: with colors and
+    sizes swapped, one adjective at one position is a size phrase."""
+    cats = taxonomy.categories
+    swapped = Taxonomy(parts=taxonomy.parts,
+                       categories={**cats, "color": cats["size"],
+                                   "size": cats["color"]},
+                       kappa=taxonomy.kappa, aliases=taxonomy.aliases)
+    red = cats["color"][0]
+    tokens, slots = worldsim.compose_frame(3, None, [(red, "wing")])
+    for tax, category in ((taxonomy, "color"), (swapped, "size"),
+                          (taxonomy, "color")):
+        phrases = placed_phrases(tokens, slots, tax)
+        assert [p.categories for p in phrases] == [(category,)]
+        assert phrases == chunk_sentence(tokens, tax)
+
+
 def reference_pool(scene, profile, taxonomy, lm, n, error_rate, seed):
-    """The sampler spelled out with rng.choice(p=...) category picks,
+    """The sampler spelled out with rng.choice part and category picks,
     Scene.region_for lookups, chunk_sentence and reference_fluency."""
     rng = np.random.default_rng(seed)
     cats = list(worldsim._CATEGORY_WEIGHTS)
     p = np.array([worldsim._CATEGORY_WEIGHTS[c] for c in cats])
+    parts = [part for part in taxonomy.parts if part != "body"]
     pool = []
     for _ in range(n):
         frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)
@@ -189,7 +208,8 @@ def reference_pool(scene, profile, taxonomy, lm, n, error_rate, seed):
             prior = profile.attributes["body"]["color"]
             bird_color = prior if rng.random() < error_rate else true
         picks = []
-        for part in worldsim._pick_parts(taxonomy, rng, n_parts):
+        for i in sorted(rng.choice(len(parts), size=n_parts, replace=False)):
+            part = parts[i]
             category = cats[int(rng.choice(len(cats), p=p / p.sum()))]
             true = scene.region_for(part).attrs[category]
             prior = profile.attributes[part][category]

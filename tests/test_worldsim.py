@@ -10,7 +10,8 @@ from phrasecritic.jsonio import dumps_canonical
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import (ATTRIBUTE_CATEGORIES, PARTS,
                                    _CATEGORY_WEIGHTS, _pick_category,
-                                   _split_counts, build_taxonomy, ground_truth_sentence,
+                                   _pick_parts, _split_counts, build_taxonomy,
+                                   ground_truth_sentence,
                                    make_foil_sentence, render_scene,
                                    sample_class_profiles)
 from conftest import TINY as CFG, load_schema
@@ -238,6 +239,34 @@ def test_pick_category_replays_generator_choice():
             expected.append(reference.random())
     assert picked == expected
     assert set(picked[:1000]) >= set(cats)
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_pick_parts_replays_generator_choice():
+    """_pick_parts picks what rng.choice(replace=False) picks, in pool
+    order, and leaves the stream where choice leaves it: 200k picks of 1-3
+    of the 7 parts a frame may mention, then every count of pools of 3-8,
+    with other draws in between as the samplers make them; a numpy release
+    that changes choice fails here."""
+    pool = [p for p in PARTS if p != "body"]
+    cases = [(pool, i % 3 + 1) for i in range(200_000)]
+    cases += [(list(range(n)), count) for n in range(3, 9)
+              for count in range(n + 1) for _ in range(500)]
+    ours, reference = np.random.default_rng(13), np.random.default_rng(13)
+    picked, expected = [], []
+    for i, (items, count) in enumerate(cases):
+        picked.append(_pick_parts(items, ours, count))
+        idx = reference.choice(len(items), size=count, replace=False)
+        expected.append([items[j] for j in sorted(idx)])
+        if i % 3 == 0:
+            picked.append(ours.integers(7))
+            expected.append(reference.integers(7))
+        if i % 5 == 0:
+            picked.append(ours.random())
+            expected.append(reference.random())
+    assert picked == expected
+    assert {tuple(p) for p in picked[:3000] if isinstance(p, list)} >= \
+        {(part,) for part in pool}
     assert ours.bit_generator.state == reference.bit_generator.state
 
 
