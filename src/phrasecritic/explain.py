@@ -130,19 +130,17 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
 
 def counterfactual_class(scene: Scene, profiles) -> int:
     """Most attribute-similar other class for a scene (never its own)."""
-    assignment = scene.assignment()
     others = [p for p in profiles if p.class_id != scene.class_id]
     if not others:
         raise ValueError("no other class available for a counterfactual")
-    # min returns the first minimum, so ties go to the earliest profile.
-    return min(others, key=lambda p: assignment_distance(
-        assignment, p.assignment())).class_id
+    return _nearest(scene, others).class_id
 
 
-def _nearest_scene(query: Scene, scenes) -> Scene:
+def _nearest(query: Scene, records):
+    # the first record (scene or profile) at the least assignment distance
     assignment = query.assignment()
-    return min(scenes, key=lambda s: assignment_distance(
-        assignment, s.assignment()))
+    return min(records, key=lambda r: assignment_distance(
+        assignment, r.assignment()))
 
 
 def counterfactual_evidence(query: Scene, cf_class: int, dataset: Dataset,
@@ -160,7 +158,7 @@ def counterfactual_evidence(query: Scene, cf_class: int, dataset: Dataset,
     neighbours = [s for s in dataset.scenes if s.class_id == cf_class]
     if not neighbours:
         raise ValueError(f"no scenes of class {cf_class}")
-    neighbour = _nearest_scene(query, neighbours)
+    neighbour = _nearest(query, neighbours)
     candidates = candidate_pool(
         dataset, lms, neighbour, n, error_rate,
         np.random.default_rng([seed, 6, query.scene_id]))

@@ -1,7 +1,7 @@
 """Candidate sentence generation and a smoothed bigram fluency model.
 
-The generator is class conditioned: it fills the same sentence frames the
-ground-truth sampler uses, but each mentioned attribute is drawn from the
+The generator is class conditioned: it draws sentences with
+worldsim.draw_sentence, and each mentioned attribute is taken from the
 class profile (the class prior) instead of the scene's true attribute with
 probability error_rate. Fluency is the total bigram log-probability of the
 sentence under a model fit per class, in log base 10; base 10 puts typical
@@ -117,23 +117,14 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
     attrs = {}  # the first region of a part wins, as in Scene.region_for
     for region in scene.regions:
         attrs.setdefault(region.part, region.attrs)
-    parts = worldsim._part_pool(taxonomy)
+
+    def attribute(part, category):  # the class prior with p = error_rate
+        source = profile.attributes if rng.random() < error_rate else attrs
+        return source[part][category]
+
     candidates = []
     for _ in range(n):
-        frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)
-        bird_color = None
-        if uses_bird:
-            true = attrs["body"]["color"]
-            prior = profile.attributes["body"]["color"]
-            bird_color = prior if rng.random() < error_rate else true
-        picks = []
-        for part in worldsim._pick_parts(parts, rng, n_parts):
-            category = worldsim._pick_category(rng)
-            true = attrs[part][category]
-            prior = profile.attributes[part][category]
-            attr = prior if rng.random() < error_rate else true
-            picks.append((attr, part))
-        tokens, slots = worldsim.compose_frame(frame_id, bird_color, picks)
+        tokens, slots = worldsim.draw_sentence(rng, taxonomy, attribute)
         candidates.append(Candidate(
             tokens=tokens,
             fluency=fluency(tokens, lm),

@@ -10,8 +10,8 @@ a FIFO, a device, or a file in an unwritable directory is written through.
 The record codec writes and reads a dataclass's init fields from their
 annotations (records, X | None, and lists, tuples and dicts of either), each
 under its name or its metadata={"json": key}. A list, tuple or dict of
-scalars is one constructor call; int() and float() read numbers, strings
-are taken as they are.
+scalars is one constructor call; float() reads numbers, _read_int integers
+(an integral float too), strings are taken as they are.
 """
 
 from __future__ import annotations
@@ -84,6 +84,14 @@ def record_fields(kind) -> tuple:
                  for f in dataclasses.fields(kind) if f.init)
 
 
+def _read_int(value) -> int:
+    """An int or an integral float, never a bool, string or fraction."""
+    whole = int(value) if type(value) is float else value  # inf: OverflowError
+    if type(whole) is not int or whole != value:
+        raise TypeError(f"{value!r} is not an integer")
+    return whole
+
+
 @functools.cache
 def _codec(kind, reading: bool):
     """A function reading a JSON value as kind, or writing a kind value as
@@ -101,7 +109,7 @@ def _codec(kind, reading: bool):
         return eval(template.format(", ".join(items)), env)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is None:  # a scalar
-        return kind if reading and kind in (int, float) else None
+        return {int: _read_int, float: float}.get(kind) if reading else None
     if origin in (typing.Union, types.UnionType):  # X | None
         (inner,) = (a for a in args if a is not type(None))
         convert = _codec(inner, reading)

@@ -19,7 +19,7 @@ from . import textproc
 from .grounding import scene_grounders
 from .metrics import phrase_correct
 from .textproc import AttributePhrase
-from .worldsim import Dataset, Scene, Taxonomy
+from .worldsim import Dataset, Scene, Taxonomy, pick, pick_sorted
 
 
 @dataclass
@@ -60,10 +60,7 @@ def _flip_counts(n_phrases: int):
 def _enumerate_space(phrases, taxonomy, n_phrases):
     """Every negative reachable under the flip policy, in a fixed order."""
     per_phrase = [_phrase_flips(p, taxonomy) for p in phrases]
-    space = []
-    for i, flips in enumerate(per_phrase):
-        for edit in flips:
-            space.append((edit,))
+    space = [(edit,) for flips in per_phrase for edit in flips]
     if 2 in _flip_counts(n_phrases):
         for i, j in combinations(range(n_phrases), 2):
             for edit_i in per_phrase[i]:
@@ -110,14 +107,11 @@ def iter_negatives(tokens, phrases, taxonomy: Taxonomy, k: int = 10,
     budget = 60 * k
     while len(seen) - 1 < wanted and budget > 0:
         budget -= 1
-        n_flip = min(counts[int(rng.integers(len(counts)))], len(flippable))
+        n_flip = min(pick(counts, rng), len(flippable))
         if n_flip == 0:
             break
-        chosen = rng.choice(len(flippable), size=n_flip, replace=False)
-        edits = []
-        for c in sorted(int(c) for c in chosen):
-            flips = per_phrase[flippable[c]]
-            edits.append(flips[int(rng.integers(len(flips)))])
+        edits = [pick(per_phrase[c], rng)
+                 for c in pick_sorted(flippable, rng, n_flip)]
         negative, edited = textproc.apply_edits(positive, phrases, edits)
         if negative not in seen:
             seen.add(negative)

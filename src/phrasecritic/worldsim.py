@@ -2,7 +2,8 @@
 
 Everything is a pure function of (config, seed). Scenes and sentences draw
 from RNG streams derived from (seed, scene index), so generating scene 512
-alone yields the same scene as generating all of them in order.
+alone yields the same scene as generating all of them in order. A pick
+from a sequence replays Generator.choice: pick, pick_sorted, _pick_category.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ class Taxonomy:
     aliases: dict[str, str]
     lexicon: dict[str, tuple[str, str | None]] = field(init=False, repr=False)
     vector_index: dict[str, int] = field(init=False, repr=False)
+    frame_parts: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for i, part in enumerate(self.parts):
@@ -147,6 +149,15 @@ class Taxonomy:
         if nouns:
             raise ConfigurationError(
                 f"part nouns {sorted(nouns)} are also attribute tokens")
+        # the parts a frame may mention besides the bird (body) itself
+        self.frame_parts = tuple(p for p in self.parts if p != "body")
+        most = max(n_parts for _, _, n_parts in _FRAMES)
+        if "body" not in self.parts:
+            raise ConfigurationError("taxonomy has no 'body' part")
+        if len(self.frame_parts) < most:
+            raise ConfigurationError(
+                f"taxonomy has {len(self.frame_parts)} parts besides 'body'; "
+                f"the sentence frames mention up to {most}")
         lexicon = {}
         for cat, tokens in self.categories.items():
             for tok in tokens:
@@ -308,22 +319,13 @@ class Dataset:
         return dataset
 
     def _check_references(self) -> None:
-        """Reject a taxonomy without a body part or with fewer other parts
-        than a frame mentions, records that refer to a class, part, scene
-        or token the dataset does not hold, scenes or profiles that leave a
-        part or an attribute category out, scenes without a keypoint for
-        every part or with a split not in SPLITS, names, splits, tokens and
-        foil originals that are not strings, and region boxes and keypoints
-        that are not 4 and 2 finite numbers, naming the first such
-        record."""
+        """Reject records that refer to a class, part, scene or token the
+        dataset does not hold, scenes or profiles that leave a part or an
+        attribute category out, scenes without a keypoint for every part or
+        with a split not in SPLITS, names, splits, tokens and foil originals
+        that are not strings, and region boxes and keypoints that are not 4
+        and 2 finite numbers, naming the first such record."""
         parts = self.taxonomy.parts
-        most = max(n_parts for _, _, n_parts in _FRAMES)
-        if "body" not in parts:
-            raise ConfigurationError("dataset taxonomy has no 'body' part")
-        if len(parts) <= most:
-            raise ConfigurationError(
-                f"dataset taxonomy has {len(parts) - 1} parts besides 'body'"
-                f"; the sentence frames mention up to {most}")
         # tuples: membership by equality, so a list or dict is not hashed
         tokens = {cat: self.taxonomy.categories.get(cat, ())
                   for cat in ATTRIBUTE_CATEGORIES}
@@ -464,7 +466,7 @@ def sample_class_profiles(taxonomy: Taxonomy, num_classes: int, seed: int,
     for class_id in range(num_classes):
         for _ in range(max_retries):
             attributes = {
-                part: {cat: str(rng.choice(taxonomy.categories[cat]))
+                part: {cat: pick(taxonomy.categories[cat], rng)
                        for cat in ATTRIBUTE_CATEGORIES}
                 for part in taxonomy.parts
             }
@@ -511,7 +513,7 @@ def render_scene(profile: ClassProfile, taxonomy: Taxonomy, noise: float,
         for cat in ATTRIBUTE_CATEGORIES:
             token = profile.attributes[part][cat]
             if rng.random() < noise:
-                token = str(rng.choice(taxonomy.categories[cat]))
+                token = pick(taxonomy.categories[cat], rng)
             attrs[cat] = token
         regions.append(Region(part, box, attrs))
         x, y, w, h = box
@@ -579,16 +581,13 @@ def compose_frame(frame_id: int, bird_color: str | None,
     raise ValueError(f"unknown frame {frame_id}")
 
 
-def _pick_frame(rng) -> tuple[int, bool, int]:
-    return _FRAMES[int(rng.integers(len(_FRAMES)))]
+def pick(seq, rng):
+    """What rng.choice(seq) picks, with the stream left where choice leaves
+    it: choice's one bounded draw, made as the same rng.integers call."""
+    return seq[int(rng.integers(len(seq)))]
 
 
-def _part_pool(taxonomy) -> list[str]:
-    """The parts a frame may mention besides the bird (body) itself."""
-    return [p for p in taxonomy.parts if p != "body"]
-
-
-def _pick_parts(pool, rng, count) -> list[str]:
+def pick_sorted(pool, rng, count) -> list:
     """What rng.choice(len(pool), count, replace=False) picks, in pool
     order, with the stream left where choice leaves it: choice's Floyd
     sampling and its shuffle (whose order sorting drops, but whose draws
@@ -623,18 +622,25 @@ def _pick_category(rng) -> str:
     return _CATEGORIES[bisect_right(_CATEGORY_CDF, rng.random())]
 
 
+def draw_sentence(rng, taxonomy: Taxonomy, attribute):
+    """compose_frame's tokens and slots for a drawn frame, its distinct
+    parts in taxonomy order and a category per part; attribute(part,
+    category) gives each mentioned token (the bird's colour as ("body",
+    "color")) right after its category is drawn."""
+    frame_id, uses_bird, n_parts = pick(_FRAMES, rng)
+    bird_color = attribute("body", "color") if uses_bird else None
+    picks = []
+    for part in pick_sorted(taxonomy.frame_parts, rng, n_parts):
+        category = _pick_category(rng)
+        picks.append((attribute(part, category), part))
+    return compose_frame(frame_id, bird_color, picks)
+
+
 def ground_truth_sentence(scene: Scene, taxonomy: Taxonomy, seed) -> Sentence:
     """Sample a true sentence: every mentioned attribute holds in the scene."""
-    rng = np.random.default_rng(seed)
-    frame_id, uses_bird, n_parts = _pick_frame(rng)
-    bird_color = None
-    if uses_bird:
-        bird_color = scene.region_for("body").attrs["color"]
-    picks = []
-    for part in _pick_parts(_part_pool(taxonomy), rng, n_parts):
-        category = _pick_category(rng)
-        picks.append((scene.region_for(part).attrs[category], part))
-    tokens, _ = compose_frame(frame_id, bird_color, picks)
+    tokens, _ = draw_sentence(
+        np.random.default_rng(seed), taxonomy,
+        lambda part, category: scene.region_for(part).attrs[category])
     return Sentence(scene.scene_id, tokens)
 
 
@@ -658,12 +664,12 @@ def make_foil_sentence(sentence: Sentence, taxonomy: Taxonomy, seed) -> Sentence
     positions = attr_positions or noun_positions
     if not positions:
         raise ValueError("sentence has no content tokens to foil")
-    index = positions[int(rng.integers(len(positions)))]
+    index = pick(positions, rng)
     original = sentence.tokens[index]
     pool = taxonomy.flip_pool(original)
     if not pool:
         raise ValueError(f"no same-category alternative for {original!r}")
-    replacement = pool[int(rng.integers(len(pool)))]
+    replacement = pick(pool, rng)
     tokens, _ = textproc.apply_edits(sentence.tokens, (),
                                      [(index, replacement)])
     return Sentence(sentence.scene_id, list(tokens), FoilInfo(index, original))

@@ -744,6 +744,34 @@ def test_infinite_integer_field_exits_5(workspace, tmp_path, capsys, record,
         f"malformed dataset {section!r}: OverflowError")
 
 
+@pytest.mark.parametrize("record, key, value, section", [
+    (lambda p: p["scenes"][0], "class", 1.5, "scenes"),
+    (lambda p: p["scenes"][0], "class", True, "scenes"),
+    (lambda p: p["scenes"][0], "id", 0.7, "scenes"),
+    (lambda p: p["sentences"][0], "scene_id", 0.2, "sentences"),
+    (lambda p: p["profiles"][0], "class_id", 0.4, "profiles"),
+    (lambda p: p["grounder"], "seed", 2.9, "grounder"),
+    (lambda p: p, "seed", True, "seed"),
+], ids=["scene-class-fraction", "scene-class-bool", "scene-id",
+        "sentence-scene_id", "profile-class_id", "grounder-seed",
+        "dataset-seed"])
+def test_non_integer_integer_field_exits_5(workspace, tmp_path, capsys,
+                                           record, key, value, section):
+    """int() would truncate these (grounder seed 2.9 to 2, class true to
+    1); they are rejected instead."""
+    payload = read_json(workspace["ds"])
+    record(payload)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", str(bad),
+                       "--model", workspace["rank"],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == (
+        f"malformed dataset {section!r}: TypeError: {value!r} is not an "
+        f"integer")
+
+
 @pytest.mark.parametrize("command", ["rank", "counterfactual", "eval"])
 @pytest.mark.parametrize("flag, value, expected", [
     ("--limit", "-2", "--limit must be >= 0, got -2"),

@@ -193,7 +193,7 @@ def test_placed_phrases_take_categories_from_each_taxonomy(taxonomy):
 
 
 def reference_pool(scene, profile, taxonomy, lm, n, error_rate, seed):
-    """The sampler spelled out with rng.choice part and category picks,
+    """The sampler spelled out with rng.choice frame, part and category picks,
     Scene.region_for lookups, chunk_sentence and reference_fluency."""
     rng = np.random.default_rng(seed)
     cats = list(worldsim._CATEGORY_WEIGHTS)
@@ -201,7 +201,8 @@ def reference_pool(scene, profile, taxonomy, lm, n, error_rate, seed):
     parts = [part for part in taxonomy.parts if part != "body"]
     pool = []
     for _ in range(n):
-        frame_id, uses_bird, n_parts = worldsim._pick_frame(rng)
+        frame_id, uses_bird, n_parts = worldsim._FRAMES[
+            rng.choice(len(worldsim._FRAMES))]
         bird_color = None
         if uses_bird:
             true = scene.region_for("body").attrs["color"]

@@ -231,6 +231,15 @@ def test_records_read_numbers_with_int_and_float():
     assert type(sentence.scene_id) is int
 
 
+@pytest.mark.parametrize("value", [1.5, 0.2, True, False, "4", None])
+def test_records_reject_numbers_that_are_not_integers(value):
+    """An int field takes a JSON integer or an integral float, nothing that
+    int() would truncate or convert."""
+    with pytest.raises(TypeError, match=f"^{value!r} is not an integer$"):
+        jsonio.record_from_json(Sentence, {"scene_id": value, "tokens": ["a"],
+                                           "foil": None})
+
+
 def test_missing_nested_key_exits_5(tmp_path, capsys):
     ds = tmp_path / "ds.json"
     assert main(["synth", "--out", str(ds), "--classes", "3",

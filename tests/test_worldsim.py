@@ -9,11 +9,11 @@ from phrasecritic import (ConfigurationError, Dataset, GenerationError,
 from phrasecritic.jsonio import dumps_canonical
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import (ATTRIBUTE_CATEGORIES, PARTS,
-                                   _CATEGORY_WEIGHTS, _pick_category,
-                                   _pick_parts, _split_counts, build_taxonomy,
-                                   ground_truth_sentence,
-                                   make_foil_sentence, render_scene,
-                                   sample_class_profiles)
+                                   _CATEGORY_WEIGHTS, _FRAMES, _pick_category,
+                                   _split_counts, build_taxonomy,
+                                   compose_frame, ground_truth_sentence,
+                                   make_foil_sentence, pick, pick_sorted,
+                                   render_scene, sample_class_profiles)
 from conftest import TINY as CFG, load_schema
 
 
@@ -42,6 +42,22 @@ def test_taxonomy_rejects_duplicate_tokens_across_categories():
         Taxonomy(parts=("beak",),
                  categories={"color": ("red",), "size": ("red",)},
                  kappa={"beak": 1.0}, aliases={})
+
+
+@pytest.mark.parametrize("parts, expected", [
+    (("beak", "head", "wing", "eye"), "taxonomy has no 'body' part"),
+    (("beak", "head", "body"), "taxonomy has 2 parts besides 'body'; the "
+                               "sentence frames mention up to 3"),
+])
+def test_taxonomy_needs_body_and_enough_frame_parts(taxonomy, parts,
+                                                    expected):
+    with pytest.raises(ConfigurationError, match=expected):
+        Taxonomy(parts=parts, categories=taxonomy.categories,
+                 kappa={part: 1.0 for part in parts}, aliases={})
+
+
+def test_taxonomy_frame_parts_are_the_parts_besides_body(taxonomy):
+    assert taxonomy.frame_parts == tuple(p for p in PARTS if p != "body")
 
 
 @pytest.mark.parametrize("field,value", [("colors", 1), ("colors", 11),
@@ -220,6 +236,56 @@ def test_ground_truth_sentence_deterministic(tiny_dataset):
     assert a.tokens == b.tokens
 
 
+def reference_ground_truth(scene, taxonomy, rng):
+    """ground_truth_sentence spelled out with rng.choice frame, part and
+    category picks and Scene.region_for lookups."""
+    cats = list(_CATEGORY_WEIGHTS)
+    p = np.array([_CATEGORY_WEIGHTS[c] for c in cats])
+    parts = [part for part in taxonomy.parts if part != "body"]
+    frame_id, uses_bird, n_parts = _FRAMES[rng.choice(len(_FRAMES))]
+    bird_color = None
+    if uses_bird:
+        bird_color = scene.region_for("body").attrs["color"]
+    picks = []
+    for i in sorted(rng.choice(len(parts), size=n_parts, replace=False)):
+        category = cats[int(rng.choice(len(cats), p=p / p.sum()))]
+        picks.append((scene.region_for(parts[i]).attrs[category], parts[i]))
+    return compose_frame(frame_id, bird_color, picks)[0]
+
+
+def test_ground_truth_sentence_equals_the_reference_sampler(tiny_dataset):
+    """Same tokens and the stream left in the same state, five sentences
+    in a row from one stream, on every scene of the tiny world."""
+    taxonomy = tiny_dataset.taxonomy
+    for scene in tiny_dataset.scenes:
+        ours = np.random.default_rng([3, scene.scene_id])
+        reference = np.random.default_rng([3, scene.scene_id])
+        for _ in range(5):
+            assert ground_truth_sentence(scene, taxonomy, ours).tokens == \
+                reference_ground_truth(scene, taxonomy, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_pick_replays_generator_choice(taxonomy):
+    """pick picks what rng.choice(seq) picks and leaves the stream where
+    choice leaves it, over the frames, every category's tokens and the
+    negative miner's flip counts, with other draws in between."""
+    seqs = [_FRAMES, *taxonomy.categories.values(), (1,), (1, 2)]
+    ours, reference = np.random.default_rng(17), np.random.default_rng(17)
+    picked, expected = [], []
+    for i in range(60_000):
+        seq = seqs[i % len(seqs)]
+        picked.append(pick(seq, ours))
+        chosen = reference.choice(seq)
+        expected.append(tuple(chosen) if seq is _FRAMES else chosen)
+        if i % 3 == 0:
+            picked.append(ours.random())
+            expected.append(reference.random())
+    assert picked == expected
+    assert set(picked) >= set(_FRAMES)
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
 def test_pick_category_replays_generator_choice():
     """_pick_category picks what rng.choice(p=...) picks and leaves the
     stream where choice leaves it, with other draws in between as the
@@ -243,7 +309,7 @@ def test_pick_category_replays_generator_choice():
 
 
 def test_pick_parts_replays_generator_choice():
-    """_pick_parts picks what rng.choice(replace=False) picks, in pool
+    """pick_sorted picks what rng.choice(replace=False) picks, in pool
     order, and leaves the stream where choice leaves it: 200k picks of 1-3
     of the 7 parts a frame may mention, then every count of pools of 3-8,
     with other draws in between as the samplers make them; a numpy release
@@ -255,7 +321,7 @@ def test_pick_parts_replays_generator_choice():
     ours, reference = np.random.default_rng(13), np.random.default_rng(13)
     picked, expected = [], []
     for i, (items, count) in enumerate(cases):
-        picked.append(_pick_parts(items, ours, count))
+        picked.append(pick_sorted(items, ours, count))
         idx = reference.choice(len(items), size=count, replace=False)
         expected.append([items[j] for j in sorted(idx)])
         if i % 3 == 0:

@@ -5,7 +5,12 @@
 #
 # With a SEED, compares one world: that seed plus any extra synth flags.
 # Without one, compares the four usual worlds in turn: seed 0; seed 3;
-# seed 3 with --feature-noise 0.2 --sigma 0.3; seed 1 with --noise 0.4.
+# seed 3 with --feature-noise 0.2 --sigma 0.3; seed 1 with --noise 0.4;
+# then the three benchmark worlds of bench/run.py at seed 301: train-rank
+# (--classes 10 --scenes-per-class 20), explain (--classes 10
+# --scenes-per-class 30 --noise 0.4), both with bench's default
+# --foils-per-scene 1, and foil (--classes 20 --scenes-per-class 30
+# --foils-per-scene 2).
 # On each world, with each checkout's src/ on PYTHONPATH, runs synth (6
 # classes x 20 scenes, 2 foils per scene, plus the world's synth flags),
 # rank training with --pairs-out and --report-out, rank training with
@@ -133,5 +138,9 @@ else
     compare 3
     compare 3 --feature-noise 0.2 --sigma 0.3
     compare 1 --noise 0.4
+    compare 301 --classes 10 --scenes-per-class 20 --foils-per-scene 1
+    compare 301 --classes 10 --scenes-per-class 30 --noise 0.4 \
+        --foils-per-scene 1
+    compare 301 --classes 20 --scenes-per-class 30 --foils-per-scene 2
 fi
 exit $status
