@@ -311,12 +311,13 @@ def test_pick_category_replays_generator_choice():
 def test_pick_parts_replays_generator_choice():
     """pick_sorted picks what rng.choice(replace=False) picks, in pool
     order, and leaves the stream where choice leaves it: 200k picks of 1-3
-    of the 7 parts a frame may mention, then every count of pools of 3-8,
-    with other draws in between as the samplers make them; a numpy release
-    that changes choice fails here."""
+    of the 7 parts a frame may mention, then every count of pools of 1-8
+    (the negative miner picks from 1 or 2 phrases), with other draws in
+    between as the samplers make them; a numpy release that changes
+    choice fails here."""
     pool = [p for p in PARTS if p != "body"]
     cases = [(pool, i % 3 + 1) for i in range(200_000)]
-    cases += [(list(range(n)), count) for n in range(3, 9)
+    cases += [(list(range(n)), count) for n in range(1, 9)
               for count in range(n + 1) for _ in range(500)]
     ours, reference = np.random.default_rng(13), np.random.default_rng(13)
     picked, expected = [], []
