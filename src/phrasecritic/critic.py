@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (CheckpointError, ConfigurationError,
                      TrainingDivergedError)
-from .jsonio import read_json, record_to_json, write_json
+from .jsonio import read_json, record_from_json, record_to_json, write_json
 
 UNK = "<unk>"
 
@@ -496,12 +496,12 @@ def load_checkpoint(path) -> CriticModel:
         raise CheckpointError(
             f"unsupported checkpoint format {payload.get('format')!r}")
     try:
-        hyper = CriticHyper(**payload["hyper"])
+        hyper = record_from_json(CriticHyper, payload["hyper"])
         vocab = tuple(payload["vocab"])  # a critic's starts with <unk>
         if vocab[:1] != (UNK,):
             raise CheckpointError(
                 f"corrupt checkpoint {path}: empty vocab, or {UNK} not first")
-        feature_dim = int(payload["feature_dim"])
+        feature_dim = record_from_json(int, payload["feature_dim"])
         shapes = param_shapes(len(vocab), feature_dim, hyper)
         # sizes first: a stated size is only allocated once data backs it
         entries = [payload["params"][name] for name in shapes]
@@ -513,8 +513,8 @@ def load_checkpoint(path) -> CriticModel:
                     f"and {len(entry['data'])} values, expected {shape}")
         model = CriticModel(vocab, feature_dim, hyper,
                             objective=payload.get("objective", "rank"))
-        model.flat[...] = np.concatenate(
-            [np.array(entry["data"], dtype=np.float64) for entry in entries])
+        model.flat[...] = [value for entry in entries for value
+                           in record_from_json(list[float], entry["data"])]
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -90,17 +90,19 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
     Candidates with no chunkable phrases cannot be scored by the critic and
     are treated like gated ones. Ties resolve to the earliest candidate.
     groundings, if given, holds every candidate's grounded phrases;
-    otherwise only the gate survivors (or the fallback pick) are grounded.
+    otherwise the gate survivors (or the fallback pick alone) are grounded
+    in one SceneGrounder call.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
-    if groundings is None:
-        grounder = grounding.SceneGrounder(scene, taxonomy, config)
-        groundings = grounding.LazyDict(
-            lambda i: grounder.ground(candidates[i].phrases))
-
     survivor_idx = [i for i, c in enumerate(candidates)
                     if c.fluency > threshold and c.phrases]
+    # without survivors, only the fallback pick (the most fluent) is needed
+    picks = survivor_idx or [int(np.argmax([c.fluency for c in candidates]))]
+    if groundings is None:
+        groundings = dict(zip(picks, ground_candidates(
+            [candidates[i] for i in picks], scene, taxonomy, config)))
+
     if survivor_idx:
         scores = model.score_many([groundings[i] for i in survivor_idx])
         # BLAS may score identical rows of one batch a bit apart: give each
@@ -119,11 +121,9 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
 
     # Everything gated (or unscorable): fall back to the most fluent
     # candidate; its gated score is zero by definition.
-    fluencies = [c.fluency for c in candidates]
-    best = int(np.argmax(fluencies))
-    relevance = None
-    if candidates[best].phrases:
-        relevance = model.score(groundings[best])
+    (best,) = picks
+    relevance = model.score(groundings[best]) \
+        if candidates[best].phrases else None
     return Explanation(candidates[best], candidates[best].fluency,
                        relevance, 0.0, groundings[best], best, fallback=True)
 

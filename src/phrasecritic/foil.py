@@ -104,25 +104,25 @@ def build_foil_examples(dataset: Dataset, split: str) -> list[FoilExample]:
     return examples
 
 
-def _ground_examples(grounders, examples):
-    """Each example's grounded phrases, with one SceneGrounder call per run
-    of examples from one scene."""
+def _ground_examples(examples, scenes, taxonomy, config):
+    """Each example's grounded phrases, with one SceneGrounder per run of
+    examples from one scene and one call on it."""
     return [seq for scene_id, run in groupby(examples, lambda ex: ex.scene_id)
-            for seq in grounders[scene_id].ground_many(
-                [ex.phrases for ex in run])]
+            for seq in grounding.SceneGrounder(
+                scenes[scene_id], taxonomy, config).ground_many(
+                    [ex.phrases for ex in run])]
 
 
 def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
                           seed: int = 0) -> tuple[CriticModel, TrainReport]:
     """Train a binary critic on the train-split foil examples."""
     scenes = {s.scene_id: s for s in dataset.scenes}
-    grounders = grounding.scene_grounders(scenes, dataset.taxonomy,
-                                          dataset.grounder)
 
     def prepare(split):
         examples = build_foil_examples(dataset, split)
-        return [(seq, ex.label) for seq, ex
-                in zip(_ground_examples(grounders, examples), examples) if seq]
+        return [(seq, ex.label) for seq, ex in zip(_ground_examples(
+            examples, scenes, dataset.taxonomy, dataset.grounder), examples)
+            if seq]
 
     model = CriticModel.for_taxonomy(dataset.taxonomy, hyper, seed,
                                      objective="binary")
@@ -239,10 +239,9 @@ def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
 def tune_tau(examples, scenes, taxonomy: Taxonomy, config) -> float:
     """The accuracy-maximising threshold on the examples' mean grounding
     scores (_best_threshold)."""
-    grounders = grounding.scene_grounders(scenes, taxonomy, config)
     return _best_threshold(
         np.array([grounding.mean_grounding_score(seq) for seq
-                  in _ground_examples(grounders, examples)]),
+                  in _ground_examples(examples, scenes, taxonomy, config)]),
         np.array([ex.label for ex in examples]))
 
 
@@ -280,7 +279,6 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
     # sentence, then for a foil its hold-outs and substitutions) are
     # grounded in one call and scored in one critic call; the grounder
     # memo is per scene, so each token tuple is one row of that call.
-    grounders = grounding.scene_grounders(scenes, taxonomy, config)
     hits = [0] * 6  # the numerators of FoilReport's six accuracies, in order
     for scene_id, run in groupby(examples, lambda ex: ex.scene_id):
         variants, tasks = [], []
@@ -295,7 +293,8 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
                 variants += held_out + substituted
             tasks.append((ex, at, candidates, targets))
         keys, sentences = zip(*variants)
-        seqs = grounders[scene_id].ground_many(sentences)
+        seqs = grounding.SceneGrounder(scenes[scene_id], taxonomy,
+                                       config).ground_many(sentences)
         scored = ((_critic_probs(model, keys, seqs), 0.5),
                   ([grounding.mean_grounding_score(q) for q in seqs], tau))
         for ex, at, candidates, targets in tasks:

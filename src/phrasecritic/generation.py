@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textproc, worldsim
-from .worldsim import ClassProfile, Dataset, Scene, Sentence, Taxonomy
+from .worldsim import ClassProfile, Dataset, Scene, Taxonomy
 
 START = "<s>"
 END = "</s>"
@@ -37,7 +37,6 @@ class BigramLM:
     """
 
     vocab: tuple[str, ...]
-    alpha: float
     logp: np.ndarray = field(repr=False)
     contexts: dict[str, int] = field(repr=False)
     targets: dict[str, int] = field(repr=False)
@@ -69,8 +68,8 @@ def fit_language_model(corpus, alpha: float = 0.1) -> BigramLM:
         counts[contexts[prev], targets[END]] += 1.0
     smoothed = counts + alpha
     probs = smoothed / smoothed.sum(axis=1, keepdims=True)
-    return BigramLM(vocab=tuple(vocab), alpha=alpha,
-                    logp=np.log10(probs), contexts=contexts, targets=targets)
+    return BigramLM(vocab=tuple(vocab), logp=np.log10(probs),
+                    contexts=contexts, targets=targets)
 
 
 def fluency(tokens, lm: BigramLM) -> float:
@@ -128,27 +127,25 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
         candidates.append(Candidate(
             tokens=tokens,
             fluency=fluency(tokens, lm),
-            phrases=placed_phrases(tokens, slots, taxonomy),
+            phrases=placed_phrases(tokens, slots),
             class_id=profile.class_id,
         ))
     return candidates
 
 
-def placed_phrases(tokens, slots, taxonomy: Taxonomy):
+def placed_phrases(tokens, slots):
     """The one-adjective phrases at compose_frame's (adjective, noun)
-    positions, with categories from the taxonomy lexicon."""
-    lexicon = taxonomy.lexicon
-    return [_placed_phrase(tokens[a], tokens[p], a, p, lexicon[tokens[a]][1])
-            for a, p in slots]
+    positions."""
+    return [_placed_phrase(tokens[a], tokens[p], a, p) for a, p in slots]
 
 
 @functools.cache
-def _placed_phrase(adjective, noun, a, p, category):
-    """One phrase per (adjective, noun, positions, category): the phrase is
-    frozen, so every candidate that places it shares one instance."""
+def _placed_phrase(adjective, noun, a, p):
+    """One phrase per (adjective, noun, positions): the phrase is frozen, so
+    every candidate that places it shares one instance."""
     return textproc.AttributePhrase(
         adjectives=(adjective,), noun=noun, span=(min(a, p), max(a, p) + 1),
-        categories=(category,), adj_positions=(a,), noun_position=p)
+        adj_positions=(a,), noun_position=p)
 
 
 def fit_class_lms(dataset: Dataset, alpha: float = 0.1,

@@ -181,31 +181,11 @@ class SceneGrounder:
         return [[GroundedPhrase(p, *memo[p.adjectives, p.noun, i])
                  for i, p in enumerate(phrases)] for phrases in sentences]
 
-    def ground(self, phrases) -> list[GroundedPhrase]:
-        """Ground one sentence's phrases in order."""
-        return self.ground_many([phrases])[0]
-
-
-class LazyDict(dict):
-    """A dict that builds a missing value from its key on first lookup."""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
-
-
-def scene_grounders(scenes, taxonomy, config) -> LazyDict:
-    """scene_id -> SceneGrounder, for a scene_id -> Scene mapping."""
-    return LazyDict(lambda i: SceneGrounder(scenes[i], taxonomy, config))
-
 
 def ground_all(phrases, scene: Scene, taxonomy: Taxonomy,
                config: GrounderConfig) -> list[GroundedPhrase]:
     """Ground one sentence's phrases through a fresh SceneGrounder."""
-    return SceneGrounder(scene, taxonomy, config).ground(phrases)
+    return SceneGrounder(scene, taxonomy, config).ground_many([phrases])[0]
 
 
 def mean_grounding_score(grounded) -> float:

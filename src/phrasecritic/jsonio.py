@@ -10,8 +10,9 @@ a FIFO, a device, or a file in an unwritable directory is written through.
 The record codec writes and reads a dataclass's init fields from their
 annotations (records, X | None, and lists, tuples and dicts of either), each
 under its name or its metadata={"json": key}. A list, tuple or dict of
-scalars is one constructor call; float() reads numbers, _read_int integers
-(an integral float too), strings are taken as they are.
+strings is one constructor call, as strings are taken as they are;
+_read_float reads numbers (an int too), _read_int integers (an integral
+float too).
 """
 
 from __future__ import annotations
@@ -92,6 +93,13 @@ def _read_int(value) -> int:
     return whole
 
 
+def _read_float(value) -> float:
+    """An int or a float, never a bool, string or None."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @functools.cache
 def _codec(kind, reading: bool):
     """A function reading a JSON value as kind, or writing a kind value as
@@ -109,7 +117,8 @@ def _codec(kind, reading: bool):
         return eval(template.format(", ".join(items)), env)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is None:  # a scalar
-        return {int: _read_int, float: float}.get(kind) if reading else None
+        readers = {int: _read_int, float: _read_float}
+        return readers.get(kind) if reading else None
     if origin in (typing.Union, types.UnionType):  # X | None
         (inner,) = (a for a in args if a is not type(None))
         convert = _codec(inner, reading)

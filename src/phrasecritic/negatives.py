@@ -16,7 +16,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from . import textproc
-from .grounding import scene_grounders
+from .grounding import SceneGrounder
 from .metrics import phrase_correct
 from .textproc import AttributePhrase
 from .worldsim import Dataset, Scene, Taxonomy, pick, pick_sorted
@@ -202,14 +202,15 @@ def ground_rank_pairs(dataset: Dataset, pairs):
     sentences from their mined phrases in one SceneGrounder call, so pairs
     with the same positive share one grounded list.
     """
-    grounders = scene_grounders({s.scene_id: s for s in dataset.scenes},
-                                dataset.taxonomy, dataset.grounder)
+    scenes = {s.scene_id: s for s in dataset.scenes}
     grouped: dict[str, list] = {}
     for scene_id, run in groupby(pairs, lambda pair: pair.scene_id):
         run = list(run)
         sentences = {tuple(tokens): phrases for pair in run for tokens, phrases
                      in zip((pair.positive, pair.negative), pair.phrases)}
-        grounded = dict(zip(sentences, grounders[scene_id].ground_many(
+        grounder = SceneGrounder(scenes[scene_id], dataset.taxonomy,
+                                 dataset.grounder)
+        grounded = dict(zip(sentences, grounder.ground_many(
             sentences.values())))
         for pair in run:
             grouped.setdefault(pair.split, []).append(

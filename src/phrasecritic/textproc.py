@@ -36,7 +36,6 @@ class AttributePhrase:
     adjectives: tuple[str, ...]
     noun: str
     span: tuple[int, int]
-    categories: tuple[str, ...]
     adj_positions: tuple[int, ...]
     noun_position: int
 
@@ -44,51 +43,46 @@ class AttributePhrase:
         return self.adjectives + (self.noun,)
 
 
-_UNKNOWN = (OTHER, None)
-
-
 def chunk_sentence(tokens, taxonomy) -> list[AttributePhrase]:
     """Extract attribute phrases in sentence order.
 
-    Each token is tagged with its lexicon (pos, category) entry; a token
-    outside the lexicon is OTHER, so foreign words degrade to unchunkable
-    filler. At each position the applicable pattern is tried (B starts on
-    an adjective, A on a noun); matches are greedy, and the scan resumes
-    past the end of a match so phrases never overlap. Only the tags decide
-    the spans, which is what apply_edits relies on.
+    Each token is tagged with the part of speech of its lexicon entry; a
+    token outside the lexicon is OTHER, so foreign words degrade to
+    unchunkable filler. At each position the applicable pattern is tried
+    (B starts on an adjective, A on a noun); matches are greedy, and the
+    scan resumes past the end of a match so phrases never overlap. Only the
+    tags decide the spans, which is what apply_edits relies on.
     """
-    tags = [taxonomy.lexicon.get(tok, _UNKNOWN) for tok in tokens]
+    tags = [taxonomy.lexicon.get(tok, (OTHER,))[0] for tok in tokens]
     n = len(tags)
     phrases = []
     i = 0
     while i < n:
-        pos = tags[i][0]
+        pos = tags[i]
         if pos == ADJ:
             # pattern B: ADJ (CONJ? ADJ)* NOUN, greedy over the adjectives
             adjs = [i]
             j = i + 1
             while j < n:
-                if tags[j][0] == ADJ:
+                if tags[j] == ADJ:
                     adjs.append(j)
                     j += 1
-                elif tags[j][0] == CONJ and j + 1 < n \
-                        and tags[j + 1][0] == ADJ:
+                elif tags[j] == CONJ and j + 1 < n and tags[j + 1] == ADJ:
                     adjs.append(j + 1)
                     j += 2
                 else:
                     break
-            if j < n and tags[j][0] == NOUN:
+            if j < n and tags[j] == NOUN:
                 phrases.append(AttributePhrase(
                     tuple(tokens[k] for k in adjs), tokens[j], (i, j + 1),
-                    tuple(tags[k][1] for k in adjs), tuple(adjs), j))
+                    tuple(adjs), j))
                 i = j + 1
                 continue
-        elif pos == NOUN and i + 2 < n and tags[i + 1][0] == VERB \
-                and tags[i + 2][0] == ADJ:
+        elif pos == NOUN and i + 2 < n and tags[i + 1] == VERB \
+                and tags[i + 2] == ADJ:
             # pattern A: NOUN VERB ADJ
             phrases.append(AttributePhrase(
-                (tokens[i + 2],), tokens[i], (i, i + 3), (tags[i + 2][1],),
-                (i + 2,), i))
+                (tokens[i + 2],), tokens[i], (i, i + 3), (i + 2,), i))
             i += 3
             continue
         i += 1
@@ -113,7 +107,7 @@ def apply_edits(tokens, phrases, edits):
         lo, hi = p.span
         if any(lo <= pos < hi for pos, _ in edits):
             p = AttributePhrase(tuple(out[k] for k in p.adj_positions),
-                                out[p.noun_position], p.span, p.categories,
+                                out[p.noun_position], p.span,
                                 p.adj_positions, p.noun_position)
         edited.append(p)
     return tuple(out), edited

@@ -321,10 +321,10 @@ class Dataset:
     def _check_references(self) -> None:
         """Reject records that refer to a class, part, scene or token the
         dataset does not hold, scenes or profiles that leave a part or an
-        attribute category out, scenes without a keypoint for every part or
-        with a split not in SPLITS, names, splits, tokens and foil originals
-        that are not strings, and region boxes and keypoints that are not 4
-        and 2 finite numbers, naming the first such record."""
+        attribute category out, scenes with two regions or no keypoint for a
+        part or with a split not in SPLITS, names, splits, tokens and foil
+        originals that are not strings, and region boxes and keypoints that
+        are not 4 and 2 finite numbers, naming the first such record."""
         parts = self.taxonomy.parts
         # tuples: membership by equality, so a list or dict is not hashed
         tokens = {cat: self.taxonomy.categories.get(cat, ())
@@ -352,11 +352,17 @@ class Dataset:
                 raise ConfigurationError(
                     f"dataset scene {scene.scene_id} has split "
                     f"{scene.split!r}, which is not one of {SPLITS}")
+            present = set()
             for region in scene.regions:
                 if region.part not in parts:
                     raise ConfigurationError(
                         f"dataset scene {scene.scene_id} has a region for "
                         f"{region.part!r}, which is not a taxonomy part")
+                if region.part in present:
+                    raise ConfigurationError(
+                        f"dataset scene {scene.scene_id} has two regions for "
+                        f"{region.part!r}")
+                present.add(region.part)
                 if len(region.box) != 4 or \
                         not all(map(math.isfinite, region.box)):
                     raise ConfigurationError(
@@ -371,7 +377,6 @@ class Dataset:
                     raise ConfigurationError(
                         f"dataset scene {scene.scene_id} keypoint {part!r} "
                         f"is {list(point)}, which is not 2 finite numbers")
-            present = {region.part for region in scene.regions}
             for part in parts:
                 if part not in present:
                     raise ConfigurationError(

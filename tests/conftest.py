@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phrasecritic import Dataset, WorldConfig, generate_dataset
+from phrasecritic import Dataset, WorldConfig, generate_dataset, grounding
 
 TINY = WorldConfig(num_classes=4, scenes_per_class=10, sentences_per_scene=3)
 
@@ -25,6 +25,19 @@ def assert_same_groundings(got, want):
             (b.part, b.region_index, b.box, b.score)
         for name in ("features", "mention", "match"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def record_grounders(monkeypatch) -> list:
+    """The scene id of every SceneGrounder built from now on, in order."""
+    built = []
+    init = grounding.SceneGrounder.__init__
+
+    def recording(self, scene, taxonomy, config):
+        built.append(scene.scene_id)
+        init(self, scene, taxonomy, config)
+
+    monkeypatch.setattr(grounding.SceneGrounder, "__init__", recording)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -292,6 +292,40 @@ def test_corrupt_checkpoint_exits_4(workspace, tmp_path, capsys):
     assert stderr_record(err)["error"] == "CheckpointError"
 
 
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda p: p["hyper"].update(epochs=2.5), "2.5 is not an integer"),
+    (lambda p: p["hyper"].update(margin="1"), "'1' is not a number"),
+    (lambda p: p["hyper"].update(batch_size=True), "True is not an integer"),
+    (lambda p: p.update(feature_dim=str(p["feature_dim"])),
+     "is not an integer"),
+    (lambda p: p.update(feature_dim=p["feature_dim"] + 0.7),
+     ".7 is not an integer"),
+    (lambda p: p["params"]["b_2"]["data"].__setitem__(0, "0.5"),
+     "'0.5' is not a number"),
+    (lambda p: p["params"]["b_2"]["data"].__setitem__(0, True),
+     "True is not a number"),
+], ids=["epochs-fraction", "margin-string", "batch_size-bool",
+        "feature_dim-string", "feature_dim-fraction", "data-string",
+        "data-bool"])
+def test_checkpoint_field_of_the_wrong_type_exits_4(workspace, tmp_path,
+                                                    capsys, corrupt,
+                                                    expected):
+    """int(), float() and np.array would read each of these (feature_dim
+    76.7 as 76); the checkpoint is read through the record codec instead."""
+    payload = read_json(workspace["rank"])
+    corrupt(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", workspace["ds"],
+                       "--model", str(bad), "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CHECKPOINT
+    record = stderr_record(err)
+    assert record["error"] == "CheckpointError"
+    assert record["message"].startswith("corrupt checkpoint ")
+    assert record["message"].endswith(expected)
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_checkpoint_with_empty_vocab_exits_4(workspace, tmp_path, capsys):
     payload = read_json(workspace["rank"])
     payload["vocab"] = []
@@ -653,6 +687,16 @@ def _dict_profile_token(payload):
     payload["profiles"][1]["attributes"]["wing"]["size"] = {}
 
 
+def _two_wing_regions(payload):
+    """A second wing region of another colour: region_for would read the
+    first, Scene.assignment the second."""
+    wing = _wing_region(payload)
+    other = next(c for c in payload["taxonomy"]["categories"]["color"]
+                 if c != wing["attrs"]["color"])
+    payload["scenes"][0]["regions"].append(
+        dict(wing, attrs=dict(wing["attrs"], color=other)))
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_orphan_sentence, "sentence 0 names scene 99999"),
     (_unknown_class, "scene 0 has class 50"),
@@ -699,6 +743,7 @@ def _dict_profile_token(payload):
                          "not a taxonomy color token"),
     (_dict_profile_token, "profile 1 part 'wing' has size {}, which is not a "
                           "taxonomy size token"),
+    (_two_wing_regions, "scene 0 has two regions for 'wing'"),
 ])
 def test_dangling_reference_exits_5(workspace, tmp_path, capsys, corrupt,
                                     expected):
@@ -770,6 +815,29 @@ def test_non_integer_integer_field_exits_5(workspace, tmp_path, capsys,
     assert stderr_record(err)["message"] == (
         f"malformed dataset {section!r}: TypeError: {value!r} is not an "
         f"integer")
+
+
+@pytest.mark.parametrize("record, key, value, section", [
+    (lambda p: p["scenes"][0]["regions"][0]["box"], 0, "0.1", "scenes"),
+    (lambda p: p["scenes"][0]["regions"][0]["box"], 1, True, "scenes"),
+    (lambda p: p["grounder"], "sigma", "0.05", "grounder"),
+    (lambda p: p["grounder"], "feature_noise", False, "grounder"),
+], ids=["box-string", "box-bool", "grounder-sigma", "grounder-feature_noise"])
+def test_non_number_float_field_exits_5(workspace, tmp_path, capsys, record,
+                                        key, value, section):
+    """float() would read these (a box's "0.1" as 0.1, true as 1.0); they
+    are rejected instead."""
+    payload = read_json(workspace["ds"])
+    record(payload)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "rank", "--dataset", str(bad),
+                       "--model", workspace["rank"],
+                       "--out", str(tmp_path / "x.json"))
+    assert code == EXIT_BAD_CONFIG
+    assert stderr_record(err)["message"] == (
+        f"malformed dataset {section!r}: TypeError: {value!r} is not a "
+        f"number")
 
 
 @pytest.mark.parametrize("command", ["rank", "counterfactual", "eval"])

@@ -246,7 +246,7 @@ def toy_binary_example(rng, label):
     if not label:
         on = np.flatnonzero(mention)
         match[on[int(rng.integers(len(on)))]] = 0.0
-    phrase = textproc.AttributePhrase(("on",), "off", (0, 2), ("c",), (0,), 1)
+    phrase = textproc.AttributePhrase(("on",), "off", (0, 2), (0,), 1)
     g = grounding.GroundedPhrase(phrase=phrase, part="p", region_index=0,
                                  box=(0.0, 0.0, 1.0, 1.0),
                                  features=rng.random(2), mention=mention,

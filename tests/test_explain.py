@@ -90,6 +90,31 @@ def test_gate_is_strict(tiny_dataset, model, scene_candidates):
     assert explanation.fluency == fluencies[-1]
 
 
+def test_selection_grounds_its_pool_in_one_call(tiny_dataset, model,
+                                                scene_candidates,
+                                                monkeypatch):
+    """Without given groundings, one ground_many call over the survivors,
+    or over the fallback pick alone."""
+    scene, candidates = scene_candidates
+    calls = []
+    ground_many = grounding.SceneGrounder.ground_many
+
+    def recording(self, sentences):
+        calls.append(len(sentences))
+        return ground_many(self, sentences)
+
+    monkeypatch.setattr(grounding.SceneGrounder, "ground_many", recording)
+    survivors = sum(c.fluency > DEFAULT_FLUENCY_THRESHOLD and bool(c.phrases)
+                    for c in candidates)
+    assert survivors > 1
+    for threshold, expected in ((DEFAULT_FLUENCY_THRESHOLD, survivors),
+                                (0.0, 1)):
+        calls.clear()
+        select_explanation(candidates, scene, model, tiny_dataset.taxonomy,
+                           tiny_dataset.grounder, threshold)
+        assert calls == [expected]
+
+
 def test_fallback_returns_most_fluent(tiny_dataset, model, scene_candidates):
     scene, candidates = scene_candidates
     taxonomy, config = tiny_dataset.taxonomy, tiny_dataset.grounder
@@ -256,8 +281,7 @@ def test_counterfactual_evidence_deterministic(tiny_dataset, model, lms):
 # -- negation templates ----------------------------------------------------------
 
 def test_negate_phrase_singular():
-    phrase = textproc.AttributePhrase(("red",), "wing", (0, 2), ("color",),
-                                      (0,), 1)
+    phrase = textproc.AttributePhrase(("red",), "wing", (0, 2), (0,), 1)
     negation, conditional = negate_phrase(phrase, "species 03")
     assert negation == "this bird does not have a red wing"
     assert conditional == ("if this bird had been a species 03, "
@@ -266,7 +290,7 @@ def test_negate_phrase_singular():
 
 def test_negate_phrase_stacked_adjectives():
     phrase = textproc.AttributePhrase(("long", "black"), "beak", (0, 3),
-                                      ("size", "color"), (0, 1), 2)
+                                      (0, 1), 2)
     negation, conditional = negate_phrase(phrase, "species 00")
     assert negation == "this bird does not have a long black beak"
     assert conditional.endswith("it would have had a long black beak")
@@ -274,8 +298,7 @@ def test_negate_phrase_stacked_adjectives():
 
 @pytest.mark.parametrize("noun", ["feet", "feathers"])
 def test_negate_phrase_plural_drops_article(noun):
-    phrase = textproc.AttributePhrase(("black",), noun, (0, 2), ("color",),
-                                      (0,), 1)
+    phrase = textproc.AttributePhrase(("black",), noun, (0, 2), (0,), 1)
     negation, conditional = negate_phrase(phrase, "species 01")
     assert negation == f"this bird does not have black {noun}"
     assert conditional == (f"if this bird had been a species 01, "

@@ -18,7 +18,7 @@ from phrasecritic.foil import (FoilExample, baseline_classify,
 from phrasecritic.negatives import contradicts_scene
 from phrasecritic.worldsim import ATTRIBUTE_CATEGORIES
 
-from conftest import load_schema
+from conftest import load_schema, record_grounders
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +341,18 @@ def test_run_foil_eval_report(tiny_dataset, model):
     table = report.to_table()
     assert "phrase critic" in table and "grounding mean" in table
     assert "%" in table
+
+
+def test_run_foil_eval_builds_one_grounder_per_scene(tiny_dataset, model,
+                                                     monkeypatch):
+    """One SceneGrounder per scene of the train examples (tuning tau), then
+    one per scene of the test examples."""
+    built = record_grounders(monkeypatch)
+    run_foil_eval(tiny_dataset, model)
+    assert built == [scene_id for split in ("train", "test")
+                     for scene_id in dict.fromkeys(
+                         ex.scene_id
+                         for ex in build_foil_examples(tiny_dataset, split))]
 
 
 def test_run_foil_eval_agrees_with_the_task_functions(tiny_dataset, model,

@@ -170,14 +170,15 @@ def test_placed_phrases_equal_the_chunker(taxonomy, frame_id):
                                                                     parts))]
                 tokens, slots = worldsim.compose_frame(
                     frame_id, colors[checked % len(colors)], picks)
-                assert placed_phrases(tokens, slots, taxonomy) == \
+                assert placed_phrases(tokens, slots) == \
                     chunk_sentence(tokens, taxonomy), tokens
     assert checked == 1 + 7 * 3 + 21 * 9 + 35 * 27
 
 
-def test_placed_phrases_take_categories_from_each_taxonomy(taxonomy):
-    """Shared phrase instances are keyed by category too: with colors and
-    sizes swapped, one adjective at one position is a size phrase."""
+def test_placed_phrases_equal_the_chunker_under_each_taxonomy(taxonomy):
+    """Shared phrase instances are keyed by words and positions alone: with
+    colors and sizes swapped, the phrase placed for one adjective at one
+    position is still the one chunking finds."""
     cats = taxonomy.categories
     swapped = Taxonomy(parts=taxonomy.parts,
                        categories={**cats, "color": cats["size"],
@@ -185,11 +186,8 @@ def test_placed_phrases_take_categories_from_each_taxonomy(taxonomy):
                        kappa=taxonomy.kappa, aliases=taxonomy.aliases)
     red = cats["color"][0]
     tokens, slots = worldsim.compose_frame(3, None, [(red, "wing")])
-    for tax, category in ((taxonomy, "color"), (swapped, "size"),
-                          (taxonomy, "color")):
-        phrases = placed_phrases(tokens, slots, tax)
-        assert [p.categories for p in phrases] == [(category,)]
-        assert phrases == chunk_sentence(tokens, tax)
+    for tax in (taxonomy, swapped, taxonomy):
+        assert placed_phrases(tokens, slots) == chunk_sentence(tokens, tax)
 
 
 def reference_pool(scene, profile, taxonomy, lm, n, error_rate, seed):

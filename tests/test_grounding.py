@@ -182,7 +182,7 @@ def test_ground_all_equals_individual_grounding(tiny_dataset):
         for phrases in sorted(sentences, key=len) + sentences:
             regrown += 0 < drawn < len(phrases)
             drawn = max(drawn, len(phrases))
-            batch = grounder.ground(phrases)
+            (batch,) = grounder.ground_many([phrases])
             assert_same_groundings(
                 batch, ground_all(phrases, scene, taxonomy, config))
             assert len(batch) == len(phrases)

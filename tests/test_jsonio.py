@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import threading
 import tracemalloc
@@ -11,7 +12,8 @@ from phrasecritic.cli import EXIT_BAD_CONFIG, main
 from phrasecritic.critic import CriticHyper
 from phrasecritic.jsonio import dumps_canonical, read_json, write_json
 from phrasecritic.metrics import MethodMetrics, MetricReport
-from phrasecritic.worldsim import Region, Scene, Sentence, Taxonomy
+from phrasecritic.worldsim import (GrounderConfig, Region, Scene, Sentence,
+                                   Taxonomy)
 
 
 def test_keys_are_sorted_and_output_ends_with_newline():
@@ -238,6 +240,20 @@ def test_records_reject_numbers_that_are_not_integers(value):
     with pytest.raises(TypeError, match=f"^{value!r} is not an integer$"):
         jsonio.record_from_json(Sentence, {"scene_id": value, "tokens": ["a"],
                                            "foil": None})
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", None, []])
+def test_records_reject_numbers_that_are_not_floats(value):
+    """A float field takes a JSON number, nothing that float() would
+    convert; in a box as in a record of its own."""
+    expected = f"^{re.escape(repr(value))} is not a number$"
+    with pytest.raises(TypeError, match=expected):
+        jsonio.record_from_json(Region, {"part": "wing", "attrs": {},
+                                         "box": [0.1, value, 0.5, 0.25]})
+    with pytest.raises(TypeError, match=expected):
+        jsonio.record_from_json(GrounderConfig, {"sigma": value,
+                                                 "feature_noise": 0.0,
+                                                 "seed": 0})
 
 
 def test_missing_nested_key_exits_5(tmp_path, capsys):

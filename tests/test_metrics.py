@@ -19,7 +19,6 @@ from conftest import load_schema
 def make_phrase(adjectives, noun):
     return textproc.AttributePhrase(tuple(adjectives), noun,
                                     (0, len(adjectives) + 1),
-                                    tuple("x" for _ in adjectives),
                                     tuple(range(len(adjectives))),
                                     len(adjectives))
 

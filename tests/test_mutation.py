@@ -36,8 +36,10 @@ DELETE = "delete"
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
-# every CLI_SAMPLE-th dataset that loads goes through the six commands
-CLI_SAMPLE = 4
+# every CLI_SAMPLE-th dataset that loads goes through the six commands; 75
+# of the 1190 mutated datasets load (a float field rejects true), so every
+# third gives the 25 of the check below
+CLI_SAMPLE = 3
 
 
 def leaf_paths(obj, path=()):

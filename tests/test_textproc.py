@@ -26,7 +26,6 @@ def test_chunker_tags_from_lexicon(taxonomy):
     (phrase,) = chunk_sentence(tokens, taxonomy)
     assert (phrase.adjectives, phrase.noun, phrase.span) == \
         (("red",), "beak", (3, 5))
-    assert phrase.categories == ("color",)
 
 
 def test_chunker_unknown_token_is_other(taxonomy):
@@ -44,13 +43,11 @@ def test_adjective_noun_phrase(taxonomy):
     assert phrase.adjectives == ("red",)
     assert phrase.noun == "beak"
     assert phrase.span == (0, 2)
-    assert phrase.categories == ("color",)
 
 
 def test_conjoined_adjectives_collapse_into_one_phrase(taxonomy):
     (phrase,) = chunks("red and small beak", taxonomy)
     assert phrase.adjectives == ("red", "small")
-    assert phrase.categories == ("color", "size")
     assert phrase.adj_positions == (0, 2)
     assert phrase.noun_position == 3
 
@@ -141,8 +138,7 @@ def frozen_chunk_sentence(tokens, taxonomy):
             return None
         noun, verb, adj = tagged[i], tagged[i + 1], tagged[i + 2]
         if noun[1] == NOUN and verb[1] == VERB and adj[1] == ADJ:
-            return AttributePhrase((adj[0],), noun[0], (i, i + 3), (adj[2],),
-                                   (i + 2,), i)
+            return AttributePhrase((adj[0],), noun[0], (i, i + 3), (i + 2,), i)
         return None
 
     def pattern_b(i):
@@ -163,8 +159,7 @@ def frozen_chunk_sentence(tokens, taxonomy):
                 break
         if j < len(tagged) and tagged[j][1] == NOUN:
             return AttributePhrase(tuple(a[0] for a in adjs), tagged[j][0],
-                                   (i, j + 1), tuple(a[2] for a in adjs),
-                                   tuple(positions), j)
+                                   (i, j + 1), tuple(positions), j)
         return None
 
     phrases, i = [], 0
@@ -180,7 +175,7 @@ def frozen_chunk_sentence(tokens, taxonomy):
 
 def test_chunker_equals_frozen_chunker_on_every_tag_sequence(taxonomy):
     """Every sequence of the six tags up to length 7. Adjectives alternate
-    between two categories by position, so categories are checked too."""
+    between two categories by position."""
     color, size = taxonomy.categories["color"][0], \
         taxonomy.categories["size"][0]
     words = {NOUN: ("beak",), ADJ: (color, size), VERB: ("is",),
