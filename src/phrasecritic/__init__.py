@@ -19,7 +19,8 @@ from .explain import (DEFAULT_FLUENCY_THRESHOLD, Explanation,
 from .foil import FoilReport, run_foil_eval, train_foil_classifier
 from .generation import (BigramLM, Candidate, fit_class_lms,
                          fit_language_model, fluency, sample_candidates)
-from .grounding import GroundedPhrase, SceneGrounder, ground_all, ground_phrase
+from .grounding import (GroundedPhrase, ground_all, ground_many,
+                        ground_phrase)
 from .metrics import MetricReport, compare_methods, cnp_cs, phrase_correct
 from .negatives import (RankPair, build_rank_pairs, ground_rank_pairs,
                         make_negatives)
@@ -34,11 +35,11 @@ __all__ = [
     "ClassProfile", "ConfigurationError", "CriticHyper", "CriticModel",
     "DEFAULT_FLUENCY_THRESHOLD", "Dataset", "Explanation", "FoilReport",
     "GenerationError", "GroundedPhrase", "GrounderConfig", "MetricReport",
-    "RankPair", "Scene", "SceneGrounder", "Taxonomy", "TrainReport",
-    "TrainingDivergedError", "WorldConfig", "build_rank_pairs",
-    "chunk_sentence", "cnp_cs", "compare_methods", "counterfactual_class",
-    "counterfactual_evidence", "fit_class_lms", "fit_language_model",
-    "fluency", "generate_dataset", "gradients", "ground_all", "ground_phrase",
+    "RankPair", "Scene", "Taxonomy", "TrainReport", "TrainingDivergedError",
+    "WorldConfig", "build_rank_pairs", "chunk_sentence", "cnp_cs",
+    "compare_methods", "counterfactual_class", "counterfactual_evidence",
+    "fit_class_lms", "fit_language_model", "fluency", "generate_dataset",
+    "gradients", "ground_all", "ground_many", "ground_phrase",
     "ground_rank_pairs", "load_checkpoint", "make_negatives", "negate_phrase",
     "pairwise_accuracy", "phrase_correct", "rank_loss", "run_foil_eval",
     "sample_candidates", "save_checkpoint", "select_explanation",

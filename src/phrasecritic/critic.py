@@ -90,6 +90,9 @@ class CriticModel:
     def __init__(self, vocab, feature_dim: int,
                  hyper: CriticHyper | None = None, seed: int = 0,
                  objective: str = "rank"):
+        if objective not in ("rank", "binary"):
+            raise ConfigurationError(
+                f"objective must be rank or binary, got {objective!r}")
         if vocab[0] != UNK:
             vocab = (UNK,) + tuple(t for t in vocab if t != UNK)
         self.vocab = tuple(vocab)
@@ -512,7 +515,7 @@ def load_checkpoint(path) -> CriticModel:
                     f"parameter {name} has shape {tuple(entry['shape'])} "
                     f"and {len(entry['data'])} values, expected {shape}")
         model = CriticModel(vocab, feature_dim, hyper,
-                            objective=payload.get("objective", "rank"))
+                            objective=payload["objective"])
         model.flat[...] = [value for entry in entries for value
                            in record_from_json(list[float], entry["data"])]
     except CheckpointError:

@@ -76,9 +76,9 @@ def candidate_pool(dataset: Dataset, lms, scene: Scene, n: int,
 
 
 def ground_candidates(candidates, scene, taxonomy, config):
-    """Ground each candidate once, in one SceneGrounder call, for reuse."""
-    return grounding.SceneGrounder(scene, taxonomy, config).ground_many(
-        [c.phrases for c in candidates])
+    """Ground each candidate once, in one ground_many call, for reuse."""
+    return grounding.ground_many([c.phrases for c in candidates], scene,
+                                 taxonomy, config)
 
 
 def select_explanation(candidates, scene: Scene, model: CriticModel,
@@ -91,7 +91,7 @@ def select_explanation(candidates, scene: Scene, model: CriticModel,
     are treated like gated ones. Ties resolve to the earliest candidate.
     groundings, if given, holds every candidate's grounded phrases;
     otherwise the gate survivors (or the fallback pick alone) are grounded
-    in one SceneGrounder call.
+    in one ground_many call.
     """
     if not candidates:
         raise ValueError("no candidates to select from")

@@ -12,7 +12,7 @@ take its phrases with one word swapped in (textproc.apply_edits), so only
 hold-one-out variants are chunked again. The evaluation works one scene at
 a time: the variants of the scene's examples (each sentence, then for a
 foil its hold-one-out variants and sorted substitutions) are grounded in
-one SceneGrounder call and scored in one score_many call, one row per
+one ground_many call and scored in one score_many call, one row per
 distinct token sequence, so coinciding variants tie exactly, within an
 example and across the examples of a scene.
 """
@@ -105,12 +105,12 @@ def build_foil_examples(dataset: Dataset, split: str) -> list[FoilExample]:
 
 
 def _ground_examples(examples, scenes, taxonomy, config):
-    """Each example's grounded phrases, with one SceneGrounder per run of
-    examples from one scene and one call on it."""
+    """Each example's grounded phrases, with one ground_many call per run of
+    examples from one scene."""
     return [seq for scene_id, run in groupby(examples, lambda ex: ex.scene_id)
-            for seq in grounding.SceneGrounder(
-                scenes[scene_id], taxonomy, config).ground_many(
-                    [ex.phrases for ex in run])]
+            for seq in grounding.ground_many([ex.phrases for ex in run],
+                                             scenes[scene_id], taxonomy,
+                                             config)]
 
 
 def train_foil_classifier(dataset: Dataset, hyper: CriticHyper | None = None,
@@ -148,8 +148,8 @@ def classify(tokens, scene: Scene, model: CriticModel, taxonomy: Taxonomy,
     phrases = textproc.chunk_sentence(tokens, taxonomy)
     if not phrases:
         return ClassifyResult(0.0, False, zero_phrases=True)
-    [prob] = _variant_probs(model, grounding.SceneGrounder(
-        scene, taxonomy, config), [(tuple(tokens), phrases)])
+    [prob] = _variant_probs(model, scene, taxonomy, config,
+                            [(tuple(tokens), phrases)])
     return ClassifyResult(prob, prob > 0.5)
 
 
@@ -174,11 +174,12 @@ def _critic_probs(model, keys, seqs) -> list[float]:
     return [probs.get(key, 0.0) for key in keys]
 
 
-def _variant_probs(model, grounder, variants) -> list[float]:
+def _variant_probs(model, scene, taxonomy, config, variants) -> list[float]:
     """_critic_probs of (token tuple, phrases) variants, grounded in one
-    grounder call."""
+    ground_many call."""
     keys, sentences = zip(*variants)
-    return _critic_probs(model, keys, grounder.ground_many(sentences))
+    return _critic_probs(model, keys, grounding.ground_many(
+        sentences, scene, taxonomy, config))
 
 
 def _holdout_variants(tokens, taxonomy) -> tuple[list[int], list[tuple]]:
@@ -211,9 +212,9 @@ def _first_max(options, scores):
 def detect_foil_word(tokens, scene: Scene, model: CriticModel,
                      taxonomy: Taxonomy, config) -> int:
     """Index of the content word whose removal most raises the score."""
-    grounder = grounding.SceneGrounder(scene, taxonomy, config)
     candidates, variants = _holdout_variants(tokens, taxonomy)
-    return _first_max(candidates, _variant_probs(model, grounder, variants))
+    return _first_max(candidates, _variant_probs(model, scene, taxonomy,
+                                                 config, variants))
 
 
 def correct_foil_word(tokens, foil_index: int, scene: Scene,
@@ -221,11 +222,11 @@ def correct_foil_word(tokens, foil_index: int, scene: Scene,
     """Best-scoring substitution for the foiled word among the other
     same-category tokens (flip_pool); each has the lexicon entry of the
     word it replaces, so editing the chunking equals chunking again."""
-    grounder = grounding.SceneGrounder(scene, taxonomy, config)
     ordered, variants = _substitution_variants(
         tokens, foil_index, taxonomy.flip_pool(tokens[foil_index]),
         textproc.chunk_sentence(tokens, taxonomy))
-    return _first_max(ordered, _variant_probs(model, grounder, variants))
+    return _first_max(ordered, _variant_probs(model, scene, taxonomy,
+                                              config, variants))
 
 
 def baseline_classify(tokens, scene: Scene, tau: float, taxonomy: Taxonomy,
@@ -277,8 +278,8 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
     # The decisions of classify, detect_foil_word and correct_foil_word,
     # then of the baseline. The variants of one scene's examples (each
     # sentence, then for a foil its hold-outs and substitutions) are
-    # grounded in one call and scored in one critic call; the grounder
-    # memo is per scene, so each token tuple is one row of that call.
+    # grounded in one ground_many call, each phrase key once per call, and
+    # scored in one critic call, one row per distinct token tuple.
     hits = [0] * 6  # the numerators of FoilReport's six accuracies, in order
     for scene_id, run in groupby(examples, lambda ex: ex.scene_id):
         variants, tasks = [], []
@@ -293,8 +294,8 @@ def run_foil_eval(dataset: Dataset, model: CriticModel, split: str = "test",
                 variants += held_out + substituted
             tasks.append((ex, at, candidates, targets))
         keys, sentences = zip(*variants)
-        seqs = grounding.SceneGrounder(scenes[scene_id], taxonomy,
-                                       config).ground_many(sentences)
+        seqs = grounding.ground_many(sentences, scenes[scene_id], taxonomy,
+                                     config)
         scored = ((_critic_probs(model, keys, seqs), 0.5),
                   ([grounding.mean_grounding_score(q) for q in seqs], tau))
         for ex, at, candidates, targets in tasks:

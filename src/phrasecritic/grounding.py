@@ -126,66 +126,47 @@ def ground_phrase(phrase: AttributePhrase, scene: Scene, taxonomy: Taxonomy,
                           score)
 
 
-class SceneGrounder:
-    """One scene's grounding context: its feature matrix, the drawn prefix
-    of its score-noise stream (extended only when a later phrase index
-    needs more: successive draws continue one stream) and a memo of
-    groundings keyed by (adjectives, noun, phrase index).
+def ground_many(sentences, scene: Scene, taxonomy: Taxonomy,
+                config: GrounderConfig) -> list[list[GroundedPhrase]]:
+    """Ground each phrase list of sentences (a sequence) in order.
 
     A grounding depends only on the phrase's words and its index, since the
-    noise is drawn per index, so each key is grounded once per scene. Every
-    phrase equals ground_phrase on it at its index, and carries the
-    caller's own phrase object.
+    noise is drawn per index, so each (adjectives, noun, phrase index) key
+    is grounded once per call: all keys through one (keys x regions)
+    product (sums of 0/1 indicators, hence exact however batched) and one
+    noise draw up to the largest index. Every phrase equals ground_phrase on
+    it at its index, and carries the caller's own phrase object.
     """
-
-    def __init__(self, scene: Scene, taxonomy: Taxonomy,
-                 config: GrounderConfig):
-        self.scene = scene
-        self.taxonomy = taxonomy
-        self.config = config
-        self.features = scene_features(scene, taxonomy, config)
-        self._stream = _noise_stream(config, scene.scene_id)
-        self._noise = np.empty(0)
-        self._memo: dict[tuple, tuple] = {}
-
-    def ground_many(self, sentences) -> list[list[GroundedPhrase]]:
-        """Ground each phrase list of sentences in order. The keys not
-        grounded before go through one (phrases x regions) product (sums of
-        0/1 indicators, hence exact however batched) and one noise slice."""
-        memo, taxonomy, features = self._memo, self.taxonomy, self.features
-        dim = taxonomy.vector_dim
-        new = {(p.adjectives, p.noun, i): p for phrases in sentences
-               for i, p in enumerate(phrases)
-               if (p.adjectives, p.noun, i) not in memo}
-        if new:
-            mentions = [embed_phrase(p, taxonomy) for p in new.values()]
-            stacked = np.stack(mentions)
-            matches = stacked @ features[:, :dim].T
-            missing = max(i for _, _, i in new) + 1 - len(self._noise)
-            if missing > 0:
-                more = self._stream.standard_normal(missing) * \
-                    self.config.sigma
-                self._noise = np.concatenate([self._noise, more])
-            noise = self._noise.tolist()
-            bests = matches.argmax(axis=1)  # the first best region on ties
-            tops = matches[np.arange(len(bests)), bests].tolist()
-            rows = features[bests]
-            for key, best, top, row, mention, overlap in zip(
-                    new, bests.tolist(), tops, rows, mentions,
-                    rows[:, :dim] * stacked):
-                region = self.scene.regions[best]
-                score = taxonomy.kappa[region.part] * min(top, 1.0) \
-                    + noise[key[2]]
-                memo[key] = (region.part, best, region.box, row, mention,
-                             overlap, score)
-        return [[GroundedPhrase(p, *memo[p.adjectives, p.noun, i])
-                 for i, p in enumerate(phrases)] for phrases in sentences]
+    keys = {(p.adjectives, p.noun, i): p for phrases in sentences
+            for i, p in enumerate(phrases)}
+    if not keys:
+        return [[] for _ in sentences]
+    features = scene_features(scene, taxonomy, config)
+    dim = taxonomy.vector_dim
+    mentions = [embed_phrase(p, taxonomy) for p in keys.values()]
+    stacked = np.stack(mentions)
+    matches = stacked @ features[:, :dim].T
+    noise = (_noise_stream(config, scene.scene_id).standard_normal(
+        max(i for _, _, i in keys) + 1) * config.sigma).tolist()
+    bests = matches.argmax(axis=1)  # the first best region on ties
+    tops = matches[np.arange(len(bests)), bests].tolist()
+    rows = features[bests]
+    grounded = {}
+    for key, best, top, row, mention, overlap in zip(
+            keys, bests.tolist(), tops, rows, mentions,
+            rows[:, :dim] * stacked):
+        region = scene.regions[best]
+        score = taxonomy.kappa[region.part] * min(top, 1.0) + noise[key[2]]
+        grounded[key] = (region.part, best, region.box, row, mention, overlap,
+                         score)
+    return [[GroundedPhrase(p, *grounded[p.adjectives, p.noun, i])
+             for i, p in enumerate(phrases)] for phrases in sentences]
 
 
 def ground_all(phrases, scene: Scene, taxonomy: Taxonomy,
                config: GrounderConfig) -> list[GroundedPhrase]:
-    """Ground one sentence's phrases through a fresh SceneGrounder."""
-    return SceneGrounder(scene, taxonomy, config).ground_many([phrases])[0]
+    """Ground one sentence's phrases: ground_many of it alone."""
+    return ground_many([phrases], scene, taxonomy, config)[0]
 
 
 def mean_grounding_score(grounded) -> float:

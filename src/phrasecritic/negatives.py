@@ -15,8 +15,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from . import textproc
-from .grounding import SceneGrounder
+from . import grounding, textproc
 from .metrics import phrase_correct
 from .textproc import AttributePhrase
 from .worldsim import Dataset, Scene, Taxonomy, pick, pick_sorted
@@ -199,7 +198,7 @@ def ground_rank_pairs(dataset: Dataset, pairs):
     Returns a dict keyed by split whose values are lists of
     (positive grounded sequence, negative grounded sequence) ready for
     ranker training. Each run of pairs from one scene grounds its distinct
-    sentences from their mined phrases in one SceneGrounder call, so pairs
+    sentences from their mined phrases in one ground_many call, so pairs
     with the same positive share one grounded list.
     """
     scenes = {s.scene_id: s for s in dataset.scenes}
@@ -208,10 +207,9 @@ def ground_rank_pairs(dataset: Dataset, pairs):
         run = list(run)
         sentences = {tuple(tokens): phrases for pair in run for tokens, phrases
                      in zip((pair.positive, pair.negative), pair.phrases)}
-        grounder = SceneGrounder(scenes[scene_id], dataset.taxonomy,
-                                 dataset.grounder)
-        grounded = dict(zip(sentences, grounder.ground_many(
-            sentences.values())))
+        grounded = dict(zip(sentences, grounding.ground_many(
+            sentences.values(), scenes[scene_id], dataset.taxonomy,
+            dataset.grounder)))
         for pair in run:
             grouped.setdefault(pair.split, []).append(
                 (grounded[tuple(pair.positive)],

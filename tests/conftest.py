@@ -28,16 +28,17 @@ def assert_same_groundings(got, want):
 
 
 def record_grounders(monkeypatch) -> list:
-    """The scene id of every SceneGrounder built from now on, in order."""
-    built = []
-    init = grounding.SceneGrounder.__init__
+    """The scene id of every grounding.ground_many call from now on, in
+    order."""
+    called = []
+    ground_many = grounding.ground_many
 
-    def recording(self, scene, taxonomy, config):
-        built.append(scene.scene_id)
-        init(self, scene, taxonomy, config)
+    def recording(sentences, scene, taxonomy, config):
+        called.append(scene.scene_id)
+        return ground_many(sentences, scene, taxonomy, config)
 
-    monkeypatch.setattr(grounding.SceneGrounder, "__init__", recording)
-    return built
+    monkeypatch.setattr(grounding, "ground_many", recording)
+    return called
 
 
 @pytest.fixture(scope="session")

@@ -304,14 +304,21 @@ def test_corrupt_checkpoint_exits_4(workspace, tmp_path, capsys):
      "'0.5' is not a number"),
     (lambda p: p["params"]["b_2"]["data"].__setitem__(0, True),
      "True is not a number"),
+    (lambda p: p.pop("objective"), "'objective'"),
+    (lambda p: p.update(objective="foo"), "got 'foo'"),
+    (lambda p: p.update(objective=["rank"]), "got ['rank']"),
 ], ids=["epochs-fraction", "margin-string", "batch_size-bool",
         "feature_dim-string", "feature_dim-fraction", "data-string",
-        "data-bool"])
+        "data-bool", "objective-missing", "objective-unknown",
+        "objective-list"])
 def test_checkpoint_field_of_the_wrong_type_exits_4(workspace, tmp_path,
                                                     capsys, corrupt,
                                                     expected):
     """int(), float() and np.array would read each of these (feature_dim
-    76.7 as 76); the checkpoint is read through the record codec instead."""
+    76.7 as 76); the checkpoint is read through the record codec instead.
+    The objective has no default: a checkpoint without one is corrupt, not
+    a rank critic, and one other than rank or binary is corrupt too, not a
+    critic of the wrong kind (exit 5)."""
     payload = read_json(workspace["rank"])
     corrupt(payload)
     bad = tmp_path / "bad.json"

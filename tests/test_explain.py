@@ -97,13 +97,13 @@ def test_selection_grounds_its_pool_in_one_call(tiny_dataset, model,
     or over the fallback pick alone."""
     scene, candidates = scene_candidates
     calls = []
-    ground_many = grounding.SceneGrounder.ground_many
+    ground_many = grounding.ground_many
 
-    def recording(self, sentences):
+    def recording(sentences, scene, taxonomy, config):
         calls.append(len(sentences))
-        return ground_many(self, sentences)
+        return ground_many(sentences, scene, taxonomy, config)
 
-    monkeypatch.setattr(grounding.SceneGrounder, "ground_many", recording)
+    monkeypatch.setattr(grounding, "ground_many", recording)
     survivors = sum(c.fluency > DEFAULT_FLUENCY_THRESHOLD and bool(c.phrases)
                     for c in candidates)
     assert survivors > 1

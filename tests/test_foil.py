@@ -343,13 +343,13 @@ def test_run_foil_eval_report(tiny_dataset, model):
     assert "%" in table
 
 
-def test_run_foil_eval_builds_one_grounder_per_scene(tiny_dataset, model,
-                                                     monkeypatch):
-    """One SceneGrounder per scene of the train examples (tuning tau), then
-    one per scene of the test examples."""
-    built = record_grounders(monkeypatch)
+def test_run_foil_eval_grounds_each_scene_in_one_call(tiny_dataset, model,
+                                                      monkeypatch):
+    """One ground_many call per scene of the train examples (tuning tau),
+    then one per scene of the test examples."""
+    called = record_grounders(monkeypatch)
     run_foil_eval(tiny_dataset, model)
-    assert built == [scene_id for split in ("train", "test")
+    assert called == [scene_id for split in ("train", "test")
                      for scene_id in dict.fromkeys(
                          ex.scene_id
                          for ex in build_foil_examples(tiny_dataset, split))]
@@ -487,8 +487,7 @@ def test_per_scene_scoring_equals_per_example_scoring(tiny_dataset, model,
                     ex.tokens, ex.foil_index,
                     taxonomy.flip_pool(ex.tokens[ex.foil_index]), ex.phrases)
                 variants += held_out + substituted
-            own = _variant_probs(model, grounding.SceneGrounder(
-                scene, taxonomy, config), variants)
+            own = _variant_probs(model, scene, taxonomy, config, variants)
             batched = [per_scene[key] for key, _ in variants]
             assert np.allclose(batched, own, rtol=0.0, atol=1e-12)
             assert (batched[0] > 0.5) == (own[0] > 0.5)
@@ -531,9 +530,8 @@ def test_coinciding_holdouts_blame_the_smaller_index(tiny_dataset, taxonomy):
         (("red", "wing"), textproc.chunk_sentence(["red", "wing"], taxonomy))
     assert variants[2] == (("red", "red"), [])
     scene = tiny_dataset.scenes[0]
-    grounder = grounding.SceneGrounder(scene, taxonomy, tiny_dataset.grounder)
-    assert _variant_probs(RowOrderModel(), grounder, variants) == \
-        [0.5, 0.5, 0.0]
+    assert _variant_probs(RowOrderModel(), scene, taxonomy,
+                          tiny_dataset.grounder, variants) == [0.5, 0.5, 0.0]
     assert detect_foil_word(tokens, scene, RowOrderModel(), taxonomy,
                             tiny_dataset.grounder) == 0
 

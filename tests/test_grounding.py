@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phrasecritic import (SceneGrounder, chunk_sentence, ground_all,
+from phrasecritic import (chunk_sentence, ground_all, ground_many,
                           ground_phrase)
 from phrasecritic.grounding import (GEOMETRY_DIMS, embed_phrase, feature_dim,
                                     mean_grounding_score, scene_features)
@@ -162,39 +162,25 @@ def test_noise_stream_is_per_scene_and_phrase_position(tiny_dataset):
     assert other.score != g0.score
 
 
-def test_ground_all_equals_individual_grounding(tiny_dataset):
-    """One grounder per scene, with one product and one noise slice per
-    sentence, gives exactly what grounding each phrase on its own gives,
-    with feature noise on. Each scene's sentences go shortest first, so the
-    drawn noise prefix has to grow, then again in their own order, so it is
-    reused; a fresh ground_all agrees too."""
+def test_ground_all_equals_individual_grounding(tiny_dataset, scene_by_id):
+    """ground_all, with one product and one noise draw per sentence, gives
+    exactly what grounding each phrase on its own gives, with feature noise
+    on."""
     taxonomy = tiny_dataset.taxonomy
     config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
-    by_scene: dict[int, list] = {}
+    checked = 0
     for sentence in tiny_dataset.sentences:
-        by_scene.setdefault(sentence.scene_id, []).append(
-            chunk_sentence(sentence.tokens, taxonomy))
-    checked = regrown = 0
-    for scene in tiny_dataset.scenes:
-        grounder = SceneGrounder(scene, taxonomy, config)
-        sentences = by_scene.get(scene.scene_id, [])
-        drawn = 0
-        for phrases in sorted(sentences, key=len) + sentences:
-            regrown += 0 < drawn < len(phrases)
-            drawn = max(drawn, len(phrases))
-            (batch,) = grounder.ground_many([phrases])
-            assert_same_groundings(
-                batch, ground_all(phrases, scene, taxonomy, config))
-            assert len(batch) == len(phrases)
-            for i, p in enumerate(phrases):
-                single = ground_phrase(p, scene, taxonomy, config,
-                                       phrase_index=i)
-                assert batch[i].phrase is p
-                assert_same_groundings([batch[i]], [single])
-                assert batch[i].mention.base is None
-                checked += 1
-    assert checked > 600
-    assert regrown > 0
+        scene = scene_by_id[sentence.scene_id]
+        phrases = chunk_sentence(sentence.tokens, taxonomy)
+        batch = ground_all(phrases, scene, taxonomy, config)
+        assert len(batch) == len(phrases)
+        for i, p in enumerate(phrases):
+            single = ground_phrase(p, scene, taxonomy, config, phrase_index=i)
+            assert batch[i].phrase is p
+            assert_same_groundings([batch[i]], [single])
+            assert batch[i].mention.base is None
+            checked += 1
+    assert checked > 400
     assert ground_all([], tiny_dataset.scenes[0], taxonomy, config) == []
 
 
@@ -296,12 +282,12 @@ def test_scene_features_equals_the_per_region_builder(tiny_dataset, noise,
         assert made[-1].bit_generator.state == rng.bit_generator.state
 
 
-def test_memoised_grounder_equals_fresh_grounding_in_any_order(tiny_dataset):
-    """One SceneGrounder per scene, fed the scene's sentences, their
-    hold-one-out variants and every same-category substitution, shuffled,
-    once one sentence at a time and once in batches of random sizes, with
-    both noises on: every sentence equals a fresh ground_all of it, and
-    every grounded phrase carries the caller's own phrase object."""
+def test_grounding_does_not_depend_on_the_batch(tiny_dataset):
+    """A scene's sentences, their hold-one-out variants and every
+    same-category substitution, shuffled and split into batches of random
+    sizes, each batch its own ground_many call, with both noises on: every
+    sentence equals a fresh ground_all of it, and every grounded phrase
+    carries the caller's own phrase object."""
     taxonomy = tiny_dataset.taxonomy
     config = GrounderConfig(sigma=0.3, feature_noise=0.3, seed=4)
     rng = np.random.default_rng(0)
@@ -320,7 +306,7 @@ def test_memoised_grounder_equals_fresh_grounding_in_any_order(tiny_dataset):
     for scene in tiny_dataset.scenes:
         variants = by_scene[scene.scene_id]
         want = [ground_all(p, scene, taxonomy, config) for p in variants]
-        # and without SceneGrounder: argmax over the noisy features, noise
+        # and without ground_many: argmax over the noisy features, noise
         # drawn at the phrase's index of the scene's stream
         features = scene_features(scene, taxonomy, config)
         noise = np.random.default_rng(
@@ -333,20 +319,17 @@ def test_memoised_grounder_equals_fresh_grounding_in_any_order(tiny_dataset):
                 assert g.region_index == best
                 assert g.score == taxonomy.kappa[g.part] * min(
                     float(m[best]), 1.0) + noise[i] * config.sigma
-        for batched in (False, True):
-            grounder = SceneGrounder(scene, taxonomy, config)
-            order = rng.permutation(len(variants))
-            got = {}
-            while len(got) < len(order):
-                size = int(rng.integers(1, 9)) if batched else 1
-                picked = order[len(got):len(got) + size]
-                for i, seq in zip(picked, grounder.ground_many(
-                        [variants[i] for i in picked])):
-                    got[i] = seq
-            for i, phrases in enumerate(variants):
-                assert_same_groundings(got[i], want[i])
-                for g, p in zip(got[i], phrases):
-                    assert g.phrase is p
-                    assert g.mention.base is None
-                checked += 1
+        order = rng.permutation(len(variants))
+        got = {}
+        while len(got) < len(order):
+            picked = order[len(got):len(got) + int(rng.integers(1, 9))]
+            for i, seq in zip(picked, ground_many(
+                    [variants[i] for i in picked], scene, taxonomy, config)):
+                got[i] = seq
+        for i, phrases in enumerate(variants):
+            assert_same_groundings(got[i], want[i])
+            for g, p in zip(got[i], phrases):
+                assert g.phrase is p
+                assert g.mention.base is None
+            checked += 1
     assert checked > 5000

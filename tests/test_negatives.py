@@ -14,7 +14,7 @@ from phrasecritic.negatives import (RankPair, _enumerate_space, _flip_counts,
 from phrasecritic.worldsim import (GrounderConfig, Region, Scene,
                                    generate_dataset)
 
-from conftest import assert_same_groundings, load_schema, record_grounders
+from conftest import assert_same_groundings, load_schema
 
 
 def first_gt_sentence(dataset, n_phrases=None):
@@ -325,17 +325,18 @@ def test_ground_rank_pairs_matches_ground_all(tiny_dataset, scene_by_id):
 
 def test_ground_rank_pairs_grounds_each_scene_in_one_call(tiny_dataset,
                                                           monkeypatch):
-    """One SceneGrounder.ground_many call per scene with pairs, over that
-    scene's distinct pair sentences (several positives per scene)."""
+    """One grounding.ground_many call per scene with pairs, in pair order,
+    over that scene's distinct pair sentences (several positives per
+    scene)."""
     pairs = build_rank_pairs(tiny_dataset, k=4, sentences_per_scene=2)
     calls = []
-    ground_many = grounding.SceneGrounder.ground_many
+    ground_many = grounding.ground_many
 
-    def recording(self, sentences):
-        calls.append((self.scene.scene_id, len(sentences)))
-        return ground_many(self, sentences)
+    def recording(sentences, scene, taxonomy, config):
+        calls.append((scene.scene_id, len(sentences)))
+        return ground_many(sentences, scene, taxonomy, config)
 
-    monkeypatch.setattr(grounding.SceneGrounder, "ground_many", recording)
+    monkeypatch.setattr(grounding, "ground_many", recording)
     ground_rank_pairs(tiny_dataset, pairs)
     scene_ids = list(dict.fromkeys(p.scene_id for p in pairs))
     assert [scene_id for scene_id, _ in calls] == scene_ids
@@ -343,14 +344,6 @@ def test_ground_rank_pairs_grounds_each_scene_in_one_call(tiny_dataset,
         len({tuple(tokens) for p in pairs if p.scene_id == scene_id
              for tokens in (p.positive, p.negative)})
         for scene_id in scene_ids]
-
-
-def test_ground_rank_pairs_builds_one_grounder_per_scene(tiny_dataset,
-                                                         monkeypatch):
-    pairs = build_rank_pairs(tiny_dataset, k=4, sentences_per_scene=2)
-    built = record_grounders(monkeypatch)
-    ground_rank_pairs(tiny_dataset, pairs)
-    assert built == list(dict.fromkeys(p.scene_id for p in pairs))
 
 
 def test_pairs_to_json_matches_schema(tiny_dataset):
