@@ -14,7 +14,7 @@ from phrasecritic.negatives import (RankPair, _enumerate_space, _flip_counts,
 from phrasecritic.worldsim import (GrounderConfig, Region, Scene,
                                    generate_dataset)
 
-from conftest import assert_same_groundings, load_schema
+from conftest import assert_same_groundings, load_schema, record_grounders
 
 
 def first_gt_sentence(dataset, n_phrases=None):
@@ -344,6 +344,15 @@ def test_ground_rank_pairs_grounds_each_scene_in_one_call(tiny_dataset,
         len({tuple(tokens) for p in pairs if p.scene_id == scene_id
              for tokens in (p.positive, p.negative)})
         for scene_id in scene_ids]
+
+
+def test_ground_rank_pairs_builds_one_grounder_per_scene(tiny_dataset,
+                                                         monkeypatch):
+    """Each scene with pairs is grounded once, in pair order."""
+    pairs = build_rank_pairs(tiny_dataset, k=4, sentences_per_scene=2)
+    built = record_grounders(monkeypatch)
+    ground_rank_pairs(tiny_dataset, pairs)
+    assert built == list(dict.fromkeys(p.scene_id for p in pairs))
 
 
 def test_pairs_to_json_matches_schema(tiny_dataset):
