@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -29,7 +28,7 @@ from . import explain, foil, generation, metrics, negatives, render, textproc
 from .critic import (CriticHyper, CriticModel, load_checkpoint,
                      save_checkpoint, train_ranker)
 from .errors import (CheckpointError, ConfigurationError, GenerationError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, require)
 from .jsonio import write_json
 from .worldsim import Dataset, WorldConfig, generate_dataset
 
@@ -83,28 +82,15 @@ def _load_model(path: str, objective: str, dataset: Dataset) -> CriticModel:
     return model
 
 
-def _require_at_least(flag: str, value, low: int) -> None:
-    """Reject a count flag below low (exit 5); a slice or a pool would
-    otherwise take it silently."""
-    if value is not None and value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-
-
-def _require_finite(flag: str, value) -> None:
-    """Reject a NaN or infinite float flag, which JSON cannot hold (exit 5)."""
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"{flag} must be finite, got {value}")
-
-
 def _select_scenes(dataset: Dataset, args):
     """The --scene ids, or else the --split scenes, cut to --limit.
 
     A negative --limit, --candidates below 1, a non-finite --threshold, an
     unknown scene id or an empty split raises ValueError (exit 5).
     """
-    _require_at_least("--limit", args.limit, 0)
-    _require_at_least("--candidates", args.candidates, 1)
-    _require_finite("--threshold", args.threshold)
+    require("--limit", args.limit, 0)
+    require("--candidates", args.candidates, 1)
+    require("--threshold", args.threshold)
     if getattr(args, "scene", None):
         by_id = {s.scene_id: s for s in dataset.scenes}
         missing = [i for i in args.scene if i not in by_id]
@@ -134,7 +120,7 @@ def _emit_scene_svgs(directory: str, items) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    _require_at_least("--svg-limit", args.svg_limit, 0)
+    require("--svg-limit", args.svg_limit, 0)
     out = _resolve_out(args.out)
     svg_dir = args.emit_svg and _resolve_out(args.emit_svg, directory=True)
     dataset = generate_dataset(_from_args(WorldConfig, args), args.seed)
@@ -148,8 +134,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_at_least("--pair-sentences", args.pair_sentences, 1)
-    _require_at_least("--pairs-per-scene", args.pairs_per_scene, 1)
+    require("--pair-sentences", args.pair_sentences, 1)
+    require("--pairs-per-scene", args.pairs_per_scene, 1)
     out, pairs_out, report_out = (path and _resolve_out(path) for path in (
         args.out, args.pairs_out, args.report_out))
     dataset = _load_dataset(args.dataset)
@@ -247,7 +233,7 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_foil(args) -> int:
-    _require_finite("--tau", args.tau)
+    require("--tau", args.tau)
     out = _resolve_out(args.out)
     dataset = _load_dataset(args.dataset)
     model = _load_model(args.model, "binary", dataset)

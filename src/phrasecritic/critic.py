@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (CheckpointError, ConfigurationError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, bounded, check_bounds)
 from .jsonio import read_json, record_from_json, record_to_json, write_json
 
 UNK = "<unk>"
@@ -44,28 +44,17 @@ UNK = "<unk>"
 
 @dataclass
 class CriticHyper:
-    embed_dim: int = 16
-    input_dim: int = 32
-    hidden_dim: int = 32
-    head_dim: int = 32
-    margin: float = 1.0
-    lr: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 32
-    epochs: int = 30
+    embed_dim: int = bounded(16, 1)
+    input_dim: int = bounded(32, 1)
+    hidden_dim: int = bounded(32, 1)
+    head_dim: int = bounded(32, 1)
+    margin: float = 1.0  # unbounded: an infinite one ends in exit 6
+    lr: float = bounded(0.05, 0, low_open=True)
+    momentum: float = bounded(0.9, 0, 1, high_open=True)
+    batch_size: int = bounded(32, 1)
+    epochs: int = bounded(30, 1)
 
-    def __post_init__(self):
-        for name in ("embed_dim", "input_dim", "hidden_dim", "head_dim",
-                     "batch_size", "epochs"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigurationError(
-                f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(
-                f"momentum must be in [0, 1), got {self.momentum}")
+    __post_init__ = check_bounds
 
 
 def param_shapes(vocab_size: int, feature_dim: int,

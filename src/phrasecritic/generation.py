@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textproc, worldsim
+from .errors import require
 from .worldsim import ClassProfile, Dataset, Scene, Taxonomy
 
 START = "<s>"
@@ -54,8 +55,7 @@ class BigramLM:
 
 def fit_language_model(corpus, alpha: float = 0.1) -> BigramLM:
     """Fit a bigram model on an iterable of token lists."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    require("alpha", alpha, 0, low_open=True)
     vocab = sorted({tok for tokens in corpus for tok in tokens})
     contexts = {tok: i for i, tok in enumerate([START] + vocab + [UNK])}
     targets = {tok: i for i, tok in enumerate(vocab + [END, UNK])}
@@ -110,8 +110,7 @@ def sample_candidates(scene: Scene, profile: ClassProfile, taxonomy: Taxonomy,
     finds in its tokens when every attribute is a taxonomy token (as
     Dataset.from_json ensures).
     """
-    if not 0.0 <= error_rate <= 1.0:
-        raise ValueError(f"error_rate {error_rate} outside [0, 1]")
+    require("error_rate", error_rate, 0, 1)
     rng = np.random.default_rng(seed)
     attrs = {}  # the first region of a part wins, as in Scene.region_for
     for region in scene.regions:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio, textproc
-from .errors import ConfigurationError, GenerationError
+from .errors import (ConfigurationError, GenerationError, bounded,
+                     check_bounds, require)
 
 PARTS = ("beak", "head", "belly", "eye", "wing", "feet", "neck", "body")
 
@@ -65,16 +66,18 @@ SPLITS = ("train", "val", "test")
 
 @dataclass
 class WorldConfig:
-    """Knobs for dataset generation; defaults give the standard benchmark."""
+    """Knobs for dataset generation; defaults give the standard benchmark.
+    build_taxonomy, hence generate_dataset, checks the bounds, not the
+    constructor."""
 
-    colors: int = 8
-    sizes: int = 4
-    patterns: int = 4
-    num_classes: int = 20
-    scenes_per_class: int = 150
-    sentences_per_scene: int = 10
-    foils_per_scene: int = 1
-    noise: float = 0.15
+    colors: int = bounded(8, 2, len(_TOKEN_POOLS["color"]))
+    sizes: int = bounded(4, 2, len(_TOKEN_POOLS["size"]))
+    patterns: int = bounded(4, 2, len(_TOKEN_POOLS["pattern"]))
+    num_classes: int = bounded(20, 1)
+    scenes_per_class: int = bounded(150, 1)
+    sentences_per_scene: int = bounded(10, 1)
+    foils_per_scene: int = bounded(1, 0)
+    noise: float = bounded(0.15, 0, 1)
     splits: tuple[float, float, float] = (0.7, 0.1, 0.2)
     kappa_range: tuple[float, float] = (0.3, 3.0)
     sigma: float = 0.05
@@ -90,21 +93,11 @@ class WorldConfig:
 class GrounderConfig:
     """Grounder parameters carried inside the dataset for reproducibility."""
 
-    sigma: float = 0.05
-    feature_noise: float = 0.0
-    seed: int = 0
+    sigma: float = bounded(0.05, 0)
+    feature_noise: float = bounded(0.0, 0, 1)
+    seed: int = bounded(0, 0)
 
-    def __post_init__(self):
-        for name in ("sigma", "feature_noise"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {value}")
-        if self.feature_noise > 1.0:
-            raise ConfigurationError(
-                f"feature_noise must be <= 1, got {self.feature_noise}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -133,6 +126,8 @@ class Taxonomy:
                 raise ConfigurationError(
                     f"taxonomy kappa for part {part!r} must be a finite "
                     f"number, got {scale}")
+            require(f"taxonomy kappa for part {part!r}", scale, 0,
+                    low_open=True)
         for alias, part in self.aliases.items():
             if part not in self.parts:
                 raise ConfigurationError(
@@ -335,6 +330,8 @@ class Dataset:
                     f"dataset profile {i} has class_id {profile.class_id}; "
                     f"profiles must be listed in class-id order")
             _check_string(profile.name, "dataset profile {} has name", i)
+            require(f"dataset profile {i} noise_rate", profile.noise_rate, 0,
+                    1)
             for part in parts:
                 if part not in profile.attributes:
                     raise ConfigurationError(
@@ -444,15 +441,9 @@ def _check_attributes(attrs, tokens, record: str, *args) -> None:
 
 def build_taxonomy(config: WorldConfig, seed: int) -> Taxonomy:
     """Instantiate category token lists and per-part grounder scales."""
-    categories = {}
-    for cat, count in config.category_counts().items():
-        pool = _TOKEN_POOLS[cat]
-        if count < 2:
-            raise ConfigurationError(f"need at least 2 {cat} tokens, got {count}")
-        if count > len(pool):
-            raise ConfigurationError(
-                f"at most {len(pool)} {cat} tokens supported, got {count}")
-        categories[cat] = pool[:count]
+    check_bounds(config)
+    categories = {cat: _TOKEN_POOLS[cat][:count]
+                  for cat, count in config.category_counts().items()}
     rng = np.random.default_rng([seed, 0])
     lo, hi = config.kappa_range
     if not (0.0 < lo <= hi):
@@ -693,21 +684,8 @@ def _split_counts(n: int, fractions) -> list[int]:
     return counts
 
 
-def _check_config(config: WorldConfig) -> None:
-    for name in ("num_classes", "scenes_per_class", "sentences_per_scene"):
-        value = getattr(config, name)
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    if config.foils_per_scene < 0:
-        raise ConfigurationError(
-            f"foils_per_scene must be >= 0, got {config.foils_per_scene}")
-    if not 0.0 <= config.noise <= 1.0:
-        raise ConfigurationError(f"noise must be in [0, 1], got {config.noise}")
-
-
 def generate_dataset(config: WorldConfig, seed: int) -> Dataset:
     """Generate the full dataset: world, scenes, sentences, and foils."""
-    _check_config(config)
     grounder = GrounderConfig(sigma=config.sigma,
                               feature_noise=config.feature_noise, seed=seed)
     taxonomy = build_taxonomy(config, seed)

@@ -611,6 +611,30 @@ def _nan_kappa(payload):
     payload["taxonomy"]["kappa"]["wing"] = float("nan")
 
 
+def _negative_kappa(payload):
+    payload["taxonomy"]["kappa"]["wing"] = -1
+
+
+def _zero_kappa(payload):
+    payload["taxonomy"]["kappa"]["wing"] = 0
+
+
+def _nan_noise_rate(payload):
+    payload["profiles"][1]["noise_rate"] = float("nan")
+
+
+def _infinite_noise_rate(payload):
+    payload["profiles"][1]["noise_rate"] = float("inf")
+
+
+def _negative_noise_rate(payload):
+    payload["profiles"][1]["noise_rate"] = -1
+
+
+def _huge_noise_rate(payload):
+    payload["profiles"][1]["noise_rate"] = 10 ** 9
+
+
 def _alias_of_a_non_part(payload):
     payload["taxonomy"]["aliases"]["bird"] = "tail"
 
@@ -725,6 +749,18 @@ def _two_wing_regions(payload):
      "taxonomy kappa for part 'wing' must be a finite number, got None"),
     (_nan_kappa,
      "taxonomy kappa for part 'wing' must be a finite number, got nan"),
+    (_negative_kappa,
+     "taxonomy kappa for part 'wing' must be finite and > 0, got -1.0"),
+    (_zero_kappa,
+     "taxonomy kappa for part 'wing' must be finite and > 0, got 0.0"),
+    (_nan_noise_rate,
+     "dataset profile 1 noise_rate must be finite and >= 0, got nan"),
+    (_infinite_noise_rate,
+     "dataset profile 1 noise_rate must be finite and >= 0, got inf"),
+    (_negative_noise_rate,
+     "dataset profile 1 noise_rate must be finite and >= 0, got -1.0"),
+    (_huge_noise_rate,
+     "dataset profile 1 noise_rate must be <= 1, got 1000000000.0"),
     (_alias_of_a_non_part,
      "taxonomy alias 'bird' maps to 'tail', which is not a taxonomy part"),
     (_part_listed_twice, "taxonomy lists part 'wing' twice"),
